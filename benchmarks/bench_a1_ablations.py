@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import Grid, fastlsa, fill_grid
+from repro.core import AlignConfig, Grid, fastlsa, fill_grid
 from repro.core.fastlsa import initial_problem
 from repro.core.fillcache import fill_grid_blocks
 from repro.kernels import antidiag_matrix, boundary_vectors, sweep_matrix
@@ -154,7 +154,7 @@ def test_report_a4_base_cells(setup):
     mn = len(a) * len(b)
     rows = []
     for bm in (1024, 16 * 1024, 256 * 1024, 4 * 1024 * 1024):
-        al = fastlsa(a, b, scheme, k=4, base_cells=bm)
+        al = fastlsa(a, b, scheme, config=AlignConfig(k=4, base_cells=bm))
         rows.append({
             "base_cells": bm,
             "wall_s": round(al.stats.wall_time, 4),

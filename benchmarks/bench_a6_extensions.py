@@ -13,6 +13,7 @@ Quantifies what each extension buys on a realistic homologous pair:
 import pytest
 
 from repro.core import (
+    AlignConfig,
     align_score,
     banded_align_auto,
     fastlsa,
@@ -27,6 +28,8 @@ from repro.workloads import dna_pair
 from common import default_scheme, report, scale
 
 N = scale(1500, 12000)
+
+CONFIG = AlignConfig(k=8, base_cells=16 * 1024)
 
 
 @pytest.fixture(scope="module")
@@ -55,20 +58,18 @@ def test_report_a6_modes_cost(setup):
         return score
 
     s_global = run("global fastlsa(k=8)",
-                   lambda inst: fastlsa(a, b, scheme, k=8, base_cells=16 * 1024,
+                   lambda inst: fastlsa(a, b, scheme, config=CONFIG,
                                         instruments=inst))
     s_score = run("score-only sweep",
                   lambda inst: align_score(a, b, scheme, instruments=inst))
     s_band = run("banded auto(w0=16)",
                  lambda inst: banded_align_auto(a, b, scheme, initial_width=16,
                                                 instruments=inst).alignment)
-    run("local", lambda inst: fastlsa_local(a, b, scheme, k=8, base_cells=16 * 1024,
+    run("local", lambda inst: fastlsa_local(a, b, scheme, config=CONFIG,
                                             instruments=inst))
-    run("semiglobal", lambda inst: semiglobal_align(a, b, scheme, k=8,
-                                                    base_cells=16 * 1024,
+    run("semiglobal", lambda inst: semiglobal_align(a, b, scheme, config=CONFIG,
                                                     instruments=inst))
-    run("overlap", lambda inst: overlap_align(a, b, scheme, k=8,
-                                              base_cells=16 * 1024,
+    run("overlap", lambda inst: overlap_align(a, b, scheme, config=CONFIG,
                                               instruments=inst))
     report("a6_extension_modes", rows,
            title=f"A6a: extension features on a {len(a)}x{len(b)} homologous pair")

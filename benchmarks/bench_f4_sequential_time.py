@@ -12,7 +12,7 @@ hardware is reproduced machine-independently in F8.)
 import pytest
 
 from repro.baselines import hirschberg, needleman_wunsch
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 
 from common import bench_pair, default_scheme, report, scale
 
@@ -41,7 +41,7 @@ def test_bench_hirschberg(benchmark, scheme, n):
 def test_bench_fastlsa(benchmark, scheme, n):
     a, b = bench_pair(n)
     benchmark.pedantic(fastlsa, args=(a, b, scheme),
-                       kwargs={"k": 4, "base_cells": 64 * 1024}, rounds=2, iterations=1)
+                       kwargs={"config": AlignConfig(k=4, base_cells=64 * 1024)}, rounds=2, iterations=1)
 
 
 def test_report_f4(scheme):
@@ -55,7 +55,7 @@ def test_report_f4(scheme):
 
         nw = best_of(lambda: needleman_wunsch(a, b, scheme))
         hb = best_of(lambda: hirschberg(a, b, scheme, base_cells=64 * 1024))
-        fl = best_of(lambda: fastlsa(a, b, scheme, k=4, base_cells=64 * 1024))
+        fl = best_of(lambda: fastlsa(a, b, scheme, config=AlignConfig(k=4, base_cells=64 * 1024)))
         assert nw.score == hb.score == fl.score
         rows.append(
             {

@@ -9,7 +9,7 @@ overhead catches up.
 
 import pytest
 
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 
 from common import bench_pair, default_scheme, report, scale
 
@@ -27,7 +27,7 @@ def setup():
 def test_bench_k(benchmark, setup, k):
     a, b, scheme = setup
     benchmark.pedantic(fastlsa, args=(a, b, scheme),
-                       kwargs={"k": k, "base_cells": 4096}, rounds=2, iterations=1)
+                       kwargs={"config": AlignConfig(k=k, base_cells=4096)}, rounds=2, iterations=1)
 
 
 def test_report_f5(setup):
@@ -35,7 +35,7 @@ def test_report_f5(setup):
     mn = len(a) * len(b)
     rows = []
     for k in K_VALUES:
-        al = fastlsa(a, b, scheme, k=k, base_cells=4096)
+        al = fastlsa(a, b, scheme, config=AlignConfig(k=k, base_cells=4096))
         rows.append(
             {
                 "k": k,

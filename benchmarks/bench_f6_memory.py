@@ -9,7 +9,7 @@ peaks staying inside every budget.
 import pytest
 
 from repro.baselines import hirschberg, needleman_wunsch
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 from repro.core.planner import plan_alignment
 
 from common import bench_pair, default_scheme, report, scale
@@ -34,7 +34,7 @@ def test_report_f6_algorithms(setup):
     rows.append({"algorithm": "hirschberg", "k": "-", "peak_cells": hb.stats.peak_cells_resident,
                  "vs_dense": round(hb.stats.peak_cells_resident / mn, 4)})
     for k in (2, 4, 8, 16):
-        fl = fastlsa(a, b, scheme, k=k, base_cells=1024)
+        fl = fastlsa(a, b, scheme, config=AlignConfig(k=k, base_cells=1024))
         rows.append({"algorithm": "fastlsa", "k": k, "peak_cells": fl.stats.peak_cells_resident,
                      "vs_dense": round(fl.stats.peak_cells_resident / mn, 4)})
     report("f6_memory_algorithms", rows,
@@ -78,4 +78,4 @@ def test_report_f6_planner(setup):
 def test_bench_linear_space_mode(benchmark, setup):
     a, b, scheme = setup
     benchmark.pedantic(fastlsa, args=(a, b, scheme),
-                       kwargs={"k": 2, "base_cells": 1024}, rounds=2, iterations=1)
+                       kwargs={"config": AlignConfig(k=2, base_cells=1024)}, rounds=2, iterations=1)

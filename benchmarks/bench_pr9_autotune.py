@@ -13,8 +13,9 @@ Proves the tentpole guarantee end-to-end on the current host:
   backend, the profile's measured throughput at that ``(backend,
   workers)`` must strictly beat the measured serial throughput; a sweep
   of :func:`repro.tune.decision.choose` over a size grid re-checks the
-  same invariant.  This is the BENCH_pr5 regression (threads at 0.22×
-  serial being selected on a 1-CPU host), now structurally impossible.
+  same invariant.  This is the BENCH_pr5 regression (a parallel backend
+  at 0.22× serial being selected on a 1-CPU host), now structurally
+  impossible.
 * **Synthetic decisions** — the frozen ``slow-1cpu`` / ``fast-8cpu``
   fixtures must resolve to serial / parallel respectively, so the JSON
   also witnesses the deterministic decision layer CI runs.
@@ -176,7 +177,7 @@ def synthetic_decisions(failures):
     rows = []
     for kind, size, expect in (
         ("slow-1cpu", 100_000, ("serial",)),
-        ("fast-8cpu", 100_000, ("threads", "processes")),
+        ("fast-8cpu", 100_000, ("processes",)),
         ("fast-8cpu", 96, ("serial",)),
     ):
         profile = synthetic_profile(kind)

@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.align import format_dpm
 from repro.baselines import needleman_wunsch, nw_score_matrix
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 from repro.scoring import paper_scheme
 
 from common import emit, report
@@ -45,7 +45,7 @@ def test_figure1_matrix_reproduced():
 def test_optimal_score_is_82():
     scheme = paper_scheme()
     assert needleman_wunsch(ROWS_SEQ, COLS_SEQ, scheme).score == 82
-    assert fastlsa(ROWS_SEQ, COLS_SEQ, scheme, k=2, base_cells=16).score == 82
+    assert fastlsa(ROWS_SEQ, COLS_SEQ, scheme, config=AlignConfig(k=2, base_cells=16)).score == 82
 
 
 def test_five_identities():

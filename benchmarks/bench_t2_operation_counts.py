@@ -12,7 +12,7 @@ Hirschberg, and FastLSA across ``k``, against the analytic claims:
 import pytest
 
 from repro.baselines import hirschberg, needleman_wunsch
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 from repro.core.planner import ops_ratio_bound
 
 from common import bench_pair, default_scheme, report, scale
@@ -58,7 +58,7 @@ def test_report_t2(pair, scheme):
         }
     )
     for k in K_VALUES:
-        al = fastlsa(a, b, scheme, k=k, base_cells=1024)
+        al = fastlsa(a, b, scheme, config=AlignConfig(k=k, base_cells=1024))
         rows.append(
             {
                 "algorithm": "fastlsa",
@@ -91,5 +91,5 @@ def test_report_t2(pair, scheme):
 def test_bench_fastlsa_ops(benchmark, pair, scheme, k):
     """Wall time of FastLSA at the two k extremes."""
     a, b = pair
-    benchmark.pedantic(fastlsa, args=(a, b, scheme), kwargs={"k": k, "base_cells": 1024},
+    benchmark.pedantic(fastlsa, args=(a, b, scheme), kwargs={"config": AlignConfig(k=k, base_cells=1024)},
                        rounds=scale(2, 3), iterations=1)

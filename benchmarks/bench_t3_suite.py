@@ -7,7 +7,7 @@ This bench prints the realised suite — pair names, actual lengths of both
 sequences, divergence and alignment identity — and times pair generation.
 """
 
-from repro.core import fastlsa
+from repro.core import AlignConfig, fastlsa
 from repro.workloads import load_pair, suite_entries
 
 from common import default_scheme, report, scale
@@ -17,7 +17,7 @@ def test_report_t3():
     rows = []
     for entry in suite_entries(("tiny", "small")):
         a, b = load_pair(entry.name)
-        al = fastlsa(a, b, scheme, k=4) if entry.family == "dna" else None
+        al = fastlsa(a, b, scheme, config=AlignConfig(k=4)) if entry.family == "dna" else None
         rows.append(
             {
                 "pair": entry.name,

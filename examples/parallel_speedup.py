@@ -3,8 +3,8 @@
 
 Demonstrates the two parallel front-ends:
 
-1. the **threaded** executor (bit-identical results; physical speedup on
-   multi-core hosts), and
+1. the **process backend** (bit-identical results; physical speedup on
+   long pairs with spare cores), and
 2. the **simulated machine**, which schedules the real alignment's tile
    DAGs on P virtual processors and reproduces the paper's speedup and
    efficiency curves on any host — checked against Theorem 4's bound.
@@ -16,11 +16,7 @@ from repro import ScoringScheme, dna_simple, linear_gap
 from repro import AlignConfig
 from repro.analysis import format_rows
 from repro.core import fastlsa
-from repro.parallel import (
-    ideal_speedup,
-    parallel_fastlsa,
-    simulated_parallel_fastlsa,
-)
+from repro.parallel import ideal_speedup, simulated_parallel_fastlsa
 from repro.workloads import dna_pair
 
 
@@ -31,12 +27,13 @@ def main() -> None:
     a, b = dna_pair(n, divergence=0.25, seed=11)
 
     # ------------------------------------------------------------------
-    # 1. Threaded executor: same answer as the sequential algorithm.
+    # 1. Process backend: same answer as the sequential algorithm.
     # ------------------------------------------------------------------
     seq = fastlsa(a, b, scheme, config=AlignConfig(k=k, base_cells=64 * 1024))
-    par = parallel_fastlsa(a, b, scheme, P=4, config=AlignConfig(k=k, base_cells=64 * 1024))
+    par_cfg = AlignConfig(k=k, base_cells=64 * 1024, max_workers=2, backend="processes")
+    par = fastlsa(a, b, scheme, config=par_cfg)
     assert par.score == seq.score and par.gapped_a == seq.gapped_a
-    print(f"Threaded run (P=4): score {par.score} — identical to sequential.\n")
+    print(f"Process backend (P=2): score {par.score} — identical to sequential.\n")
 
     # ------------------------------------------------------------------
     # 2. Simulated machine: the paper's speedup experiment.

@@ -16,9 +16,10 @@ Quick start::
 Algorithms: :func:`fastlsa` (the paper's contribution, memory-adaptive via
 ``k`` and ``base_cells``), :func:`needleman_wunsch` (full matrix),
 :func:`hirschberg` (linear space), :func:`smith_waterman` /
-:func:`fastlsa_local` (local alignment), :func:`parallel_fastlsa`
-(wavefront threads) and :func:`simulated_parallel_fastlsa` (deterministic
-``P``-processor machine).  :func:`plan_alignment` picks FastLSA parameters
+:func:`fastlsa_local` (local alignment) and
+:func:`simulated_parallel_fastlsa` (deterministic ``P``-processor
+machine); ``AlignConfig(backend="processes", max_workers=P)`` runs the
+FillCache wavefront on ``P`` worker processes.  :func:`plan_alignment` picks FastLSA parameters
 for a memory budget.
 """
 
@@ -101,7 +102,6 @@ from .kernels import KernelInstruments
 from .obs import Instrumentation, MetricsRegistry, Tracer, instrumented
 from .parallel import (
     SimulationReport,
-    parallel_fastlsa,
     simulated_parallel_fastlsa,
 )
 from .workloads import dna_pair, protein_pair, sample_reads, sequence_pair
@@ -233,7 +233,6 @@ __all__ = [
     "BandedResult",
     "banded_align",
     "banded_align_auto",
-    "parallel_fastlsa",
     "simulated_parallel_fastlsa",
     "SimulationReport",
     "KernelInstruments",

@@ -45,7 +45,7 @@ from .align import format_alignment, format_dpm, read_fasta
 from .align.sequence import Sequence
 from .analysis.tables import format_rows
 from .baselines import needleman_wunsch
-from .core.config import AlignConfig
+from .core.config import BACKENDS, AlignConfig
 from .core.planner import parse_memory, plan_alignment
 from .errors import ConfigError, ReproError
 from .parallel import simulated_parallel_fastlsa
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--k", type=int, default=8, help="FastLSA k parameter")
     p_align.add_argument("--base-cells", type=int, default=256 * 1024)
     p_align.add_argument("--backend", default=None,
-                         choices=["serial", "threads", "processes"],
+                         choices=BACKENDS,
                          help="wavefront backend for the FillCache phase "
                               "(default: serial)")
     p_align.add_argument("--band", default=None, metavar="W",
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "calibration profile), 'off', or a profile "
                               "path (default: off)")
     p_align.add_argument("--workers", type=int, default=None, metavar="P",
-                         help="wavefront workers for --backend threads/processes "
+                         help="wavefront workers for --backend processes "
                               "(default 2)")
     p_align.add_argument("--width", type=int, default=60)
     p_align.add_argument("--score-only", action="store_true",
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--k", type=int, default=8, help="FastLSA k parameter")
     p_trace.add_argument("--base-cells", type=int, default=256 * 1024)
     p_trace.add_argument("--parallel", type=int, default=None, metavar="P",
-                         help="trace the threaded wavefront driver with P workers")
+                         help="trace the process wavefront backend with P workers")
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace_event output path (chrome://tracing "
                               "or ui.perfetto.dev)")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--tcp", default=None, metavar="HOST:PORT",
                          help="listen on TCP instead of stdin/stdout")
     p_serve.add_argument("--backend", default=None,
-                         choices=["serial", "threads", "processes"],
+                         choices=BACKENDS,
                          help="wavefront backend pinned onto jobs without one")
     p_serve.add_argument("--tune", default="auto", metavar="MODE",
                          help="hardware autotuning for unpinned jobs: "
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--gap-open", type=int, default=-6)
     p_search.add_argument("--gap-extend", type=int, default=None)
     p_search.add_argument("--backend", default=None,
-                          choices=["serial", "threads", "processes"],
+                          choices=BACKENDS,
                           help="candidate-scoring backend (default: serial)")
     p_search.add_argument("--workers", type=int, default=None, metavar="P")
     p_search.add_argument("--tune", default=None, metavar="MODE",
@@ -361,7 +361,7 @@ def _cmd_align(args) -> int:
 
     say = _info_printer(args)
     workers = args.workers if args.workers is not None else (
-        2 if args.backend in ("threads", "processes") else None
+        2 if args.backend == "processes" else None
     )
     band = args.band
     if band is not None and band != "auto":
@@ -496,16 +496,12 @@ def _cmd_trace(args) -> int:
     scheme = _scheme_from_args(args)
     rec_a = read_fasta(args.fasta_a)[0]
     rec_b = read_fasta(args.fasta_b)[0]
-    config = AlignConfig(k=args.k, base_cells=args.base_cells)
+    config = AlignConfig(
+        k=args.k, base_cells=args.base_cells, max_workers=args.parallel,
+        backend="processes" if args.parallel else None,
+    )
     with instrumented() as inst:
-        if args.parallel:
-            from .parallel import parallel_fastlsa
-
-            result = parallel_fastlsa(
-                rec_a, rec_b, scheme, P=args.parallel, config=config
-            )
-        else:
-            result = fastlsa(rec_a, rec_b, scheme, config=config)
+        result = fastlsa(rec_a, rec_b, scheme, config=config)
     with open(args.out, "w") as fh:
         json.dump(inst.tracer.chrome_trace(), fh)
     if args.rows:
@@ -646,7 +642,7 @@ def _cmd_search(args) -> int:
     index = CorpusIndex.load(args.index)
     query = read_fasta(args.query)[0]
     workers = args.workers if args.workers is not None else (
-        2 if args.backend in ("threads", "processes") else None
+        2 if args.backend == "processes" else None
     )
     config = AlignConfig(max_workers=workers, backend=args.backend,
                          tune=args.tune)

@@ -10,9 +10,9 @@ completion (the service's deadline guarantee; see ``docs/ROBUSTNESS.md``).
 Scoping uses a :class:`contextvars.ContextVar` only (no process-global):
 concurrent jobs on different worker threads each see their own token,
 because every thread owns a private context.  Code that fans work out to
-*further* threads (the wavefront executor) captures the token once at
-entry and checks it explicitly, the same pattern the obs layer uses for
-its instrumentation handle.
+*further* workers (the process backend's region dispatcher) captures the
+token once at entry and checks it explicitly, the same pattern the obs
+layer uses for its instrumentation handle.
 
 Free when off: :func:`checkpoint` is one context-variable read.
 """

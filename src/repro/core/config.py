@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_K",
     "DEFAULT_BASE_CELLS",
     "MIN_BASE_CELLS",
+    "BACKENDS",
 ]
 
 #: Default number of parts each dimension is divided into.
@@ -41,6 +42,10 @@ DEFAULT_BASE_CELLS = 256 * 1024
 #: Smallest accepted Base Case buffer.  Must hold at least a 2×2 matrix so
 #: degenerate sub-problems always fit.
 MIN_BASE_CELLS = 16
+
+#: Accepted ``AlignConfig.backend`` values (``None`` resolves to
+#: ``"serial"``); the planner, scheduler and autotuner import this.
+BACKENDS = ("serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -90,8 +95,7 @@ class AlignConfig(FastLSAConfig):
         Also the worker count for the wavefront backends below.
     backend:
         Execution backend for the FillCache wavefront: ``"serial"``
-        (in-process band sweeps, the default), ``"threads"``
-        (ThreadPoolExecutor tile wavefront) or ``"processes"``
+        (in-process band sweeps, the default) or ``"processes"``
         (persistent worker pool + shared-memory tile arena — see
         :mod:`repro.parallel.procpool`).  ``None`` means ``"serial"``.
     band:
@@ -117,8 +121,7 @@ class AlignConfig(FastLSAConfig):
         mismatch raises).  Explicitly-set knobs always win over tuned
         values.
 
-    ``repro.align()``, :func:`~repro.core.fastlsa.fastlsa`,
-    :func:`~repro.parallel.pfastlsa.parallel_fastlsa` and
+    ``repro.align()``, :func:`~repro.core.fastlsa.fastlsa` and
     :func:`~repro.core.batch.batch_align` all take ``config=``; the old
     ``k=`` / ``base_cells=`` / ``max_workers=`` keywords were deprecated
     in the 0.2 line and now raise :class:`~repro.errors.ConfigError`.
@@ -132,9 +135,6 @@ class AlignConfig(FastLSAConfig):
     kernel: Optional[str] = None
     tune: Optional[str] = None
 
-    #: Accepted ``backend`` values (``None`` resolves to ``"serial"``).
-    BACKENDS = ("serial", "threads", "processes")
-
     #: Accepted ``kernel`` values (``None`` resolves to ``"auto"``).
     KERNELS = ("auto", "numpy", "compiled")
 
@@ -146,9 +146,9 @@ class AlignConfig(FastLSAConfig):
             raise ConfigError(
                 f"max_workers must be None or an integer >= 1, got {self.max_workers!r}"
             )
-        if self.backend is not None and self.backend not in self.BACKENDS:
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ConfigError(
-                f"backend must be one of {list(self.BACKENDS)}, got {self.backend!r}"
+                f"backend must be one of {list(BACKENDS)}, got {self.backend!r}"
             )
         if self.band is not None:
             if isinstance(self.band, bool) or not (

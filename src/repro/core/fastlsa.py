@@ -309,9 +309,9 @@ def fastlsa(
             return alignment
 
     backend_finish = None
-    if hooks is None and getattr(cfg, "backend", None) in ("threads", "processes"):
+    if hooks is None and getattr(cfg, "backend", None) == "processes":
         # Lazy import: core stays importable without the parallel package
-        # loaded; explicit hooks (the parallel drivers) always win.
+        # loaded; explicit hooks (e.g. the simulated machine) always win.
         from ..parallel.backends import backend_hooks
 
         hooks, backend_finish = backend_hooks(cfg, scheme, a_codes, b_codes, m, n)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigError
-from .config import MIN_BASE_CELLS, FastLSAConfig
+from .config import BACKENDS, MIN_BASE_CELLS, FastLSAConfig
 
 __all__ = [
     "Plan",
@@ -121,11 +121,6 @@ def fastlsa_peak_cells(m: int, n: int, k: int, base_cells: int, affine: bool) ->
     return grid_cells_bound(m, n, k, affine) + base_cells + sweep_rows
 
 
-#: Backends the planner / governor understand (mirrors
-#: :attr:`repro.core.config.AlignConfig.BACKENDS`).
-BACKENDS = ("serial", "threads", "processes")
-
-
 def worker_cap() -> int:
     """Largest worker count :func:`resolve_backend` will honour.
 
@@ -149,7 +144,7 @@ def resolve_backend(
     ``backend`` falls back to ``"serial"`` when unset; ``workers`` comes
     from the explicit argument, then ``config.max_workers``, then 1.  A
     parallel backend with one worker degrades to ``"serial"`` — a single
-    thread or process only adds dispatch overhead.
+    worker process only adds dispatch overhead.
 
     Parallel worker counts above :func:`worker_cap` are clamped instead
     of oversubscribing the machine; when ``notes`` is passed the clamp is

@@ -22,7 +22,7 @@ whether a fault fires there.  Three kinds of fault exist:
 
 Determinism is the point: two runs with the same plan, seed and workload
 inject the same faults, so a chaos failure reproduces.  Hit counters are
-lock-protected because wavefront sites fire from worker threads.
+lock-protected because sites fire from service and search pool threads.
 """
 
 from __future__ import annotations

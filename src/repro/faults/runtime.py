@@ -9,8 +9,9 @@ same two-level scheme as the obs layer:
 * :func:`chaos` scopes a plan with a :class:`contextvars.ContextVar`
   (nesting-safe for tests), **and**
 * sets a process-global fallback so worker threads — which do not inherit
-  context variables — observe the same plan (wavefront tiles run on pool
-  threads).
+  context variables — observe the same plan (service jobs and injected
+  search executors run on pool threads; process workers receive the
+  plan with their session).
 
 Typical use::
 

@@ -8,7 +8,7 @@ Design goals (in priority order):
    shared no-op immediately — one context-variable read, no allocation
    of spans or metrics, no locks.
 2. **One hook, every layer.**  Kernels, the FastLSA recursion, the
-   wavefront executor and the service all consult the same
+   wavefront backend and the service all consult the same
    :func:`current` — installing one :class:`Instrumentation` observes
    the full stack without threading new parameters through it.
 3. **Context propagation.**  :func:`instrumented` scopes activation with

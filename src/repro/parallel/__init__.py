@@ -1,9 +1,8 @@
-"""Parallel FastLSA: tiles, wavefront scheduling, executors, and models."""
+"""Parallel FastLSA: tiles, wavefront scheduling, the process backend, and models."""
 
 from .tiles import Tile, TileGrid, default_uv, refine_bounds
 from .wavefront import PhaseBreakdown, three_phases, wavefront_stage_schedule
 from .simmachine import ScheduleReport, list_schedule, simulate_schedule
-from .executor import run_wavefront
 from .gantt import render_gantt, schedule_gantt
 from .model import (
     PhaseModel,
@@ -17,14 +16,12 @@ from .model import (
 from .lifecycle import (
     active_shm_names,
     get_process_pool,
-    get_thread_pool,
     shutdown_pools,
 )
 from .pfastlsa import (
     SimulationReport,
     build_base_tiles,
     build_fill_tiles,
-    parallel_fastlsa,
     simulated_parallel_fastlsa,
 )
 from .procpool import ProcessPool
@@ -41,7 +38,6 @@ __all__ = [
     "ScheduleReport",
     "list_schedule",
     "simulate_schedule",
-    "run_wavefront",
     "render_gantt",
     "schedule_gantt",
     "PhaseModel",
@@ -54,13 +50,11 @@ __all__ = [
     "SimulationReport",
     "build_base_tiles",
     "build_fill_tiles",
-    "parallel_fastlsa",
     "simulated_parallel_fastlsa",
     "ProcessPool",
     "SharedArena",
     "arena_spec",
     "active_shm_names",
     "get_process_pool",
-    "get_thread_pool",
     "shutdown_pools",
 ]

@@ -7,15 +7,13 @@ entry point that forwards ``config=`` — ``repro.align``, the ends-free
 modes, :func:`~repro.core.batch.batch_align`, the service scheduler and
 the CLI — therefore routes through here with no extra plumbing.
 
-* ``threads`` — the existing :class:`ThreadPoolExecutor` wavefront
-  (:mod:`repro.parallel.pfastlsa`), now borrowing the shared lifecycle
-  pool and a per-region score profile.
-* ``processes`` — a :class:`~repro.parallel.procpool.ProcessPool`
-  session around a :class:`~repro.parallel.shm.SharedArena`: sequences
-  encoded once to uint8 and published, tile boundaries exchanged
-  zero-copy, coordinates-only dispatch.  The dense base case stays
-  serial in-parent: base regions are cache-sized by construction, so
-  process dispatch overhead would dominate any win.
+``processes`` is the one physical parallel backend: a
+:class:`~repro.parallel.procpool.ProcessPool` session around a
+:class:`~repro.parallel.shm.SharedArena` — sequences encoded once to
+uint8 and published, tile boundaries exchanged zero-copy,
+coordinates-only dispatch.  The dense base case stays serial in-parent:
+base regions are cache-sized by construction, so process dispatch
+overhead would dominate any win.
 """
 
 from __future__ import annotations
@@ -32,10 +30,11 @@ from ..kernels.linear import score_profile
 from ..obs import runtime as obs
 from ..scoring.scheme import ScoringScheme
 from . import lifecycle
-from .pfastlsa import _parallel_base_matrix, _parallel_fill_grid, build_fill_tiles
+from .pfastlsa import build_fill_tiles
 from .procpool import SessionSpec
 from .shm import SharedArena, arena_spec
 from .tiles import default_uv
+from .wavefront import line_phases
 
 __all__ = ["backend_hooks", "ProcessSession"]
 
@@ -58,18 +57,6 @@ def backend_hooks(
         return None, None
     u, v = _tile_shape(config, workers, m, n, affine=not scheme.is_linear)
     kernel_tier = registry.resolve_tier(getattr(config, "kernel", None))
-    if backend == "threads":
-
-        def fill(grid, a_c, b_c, sch, counter, skip_bottom_right=True):
-            _parallel_fill_grid(
-                grid, a_c, b_c, sch, counter, skip_bottom_right, workers, u, v
-            )
-
-        def base_matrix(*args, **kwargs):
-            return _parallel_base_matrix(*args, **kwargs, P=workers, k=config.k, u=u, v=v)
-
-        return FastLSAHooks(fill=fill, base_matrix=base_matrix), None
-
     session = ProcessSession(
         scheme, a_codes, b_codes, m, n, config.k, workers, u, v,
         kernel=kernel_tier,
@@ -200,7 +187,10 @@ class ProcessSession:
             "wavefront.run", category="wavefront",
             n_tiles=len(tg), n_threads=self.workers, backend="processes",
         ):
-            self.pool.run_region(tg)
+            # Figure-13 phase per anti-diagonal, shipped with each tile
+            # only while observing: no per-tile cost otherwise.
+            phases = line_phases(tg, self.workers) if self._observe else None
+            self.pool.run_region(tg, phases)
         if counter is not None:
             counter.add_cells(tg.total_cells())
 

@@ -1,13 +1,10 @@
-"""Shared executor lifecycle: one thread pool, one process pool, reused.
+"""Shared executor lifecycle: one wavefront process pool, reused.
 
-Before this module, :func:`repro.parallel.executor.run_wavefront` built a
-fresh ``ThreadPoolExecutor`` per call when no pool was injected — every
-FillCache region of every service job paid thread spawn/teardown.  Both
-wavefront backends now borrow their executor from here: pools are created
-on first use, grown (by replacement) when a caller asks for more workers,
-reused across alignments and service jobs, and shut down deterministically
-— via :func:`shutdown_pools` (tests, service close) or the ``atexit``
-hook.
+The process backend borrows its pool from here: the pool is created on
+first use, replaced when a caller asks for a different worker count,
+reused across alignments and service jobs, and shut down
+deterministically — via :func:`shutdown_pools` (tests, service close)
+or the ``atexit`` hook.
 
 A broken process pool (a worker died — see
 :class:`~repro.errors.WorkerCrashError`) is replaced on the next
@@ -19,41 +16,15 @@ from __future__ import annotations
 
 import atexit
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 __all__ = [
-    "get_thread_pool",
     "get_process_pool",
     "shutdown_pools",
     "active_shm_names",
 ]
 
 _lock = threading.Lock()
-_thread_pool: Optional[ThreadPoolExecutor] = None
-_thread_pool_size = 0
 _process_pool = None  # type: ignore[var-annotated]
-
-
-def get_thread_pool(n_threads: int) -> ThreadPoolExecutor:
-    """The shared wavefront thread pool, at least ``n_threads`` wide.
-
-    Growing replaces the pool (after draining the old one); shrinking
-    requests reuse the wider pool — the executor layer gates in-flight
-    tiles to its own ``n_threads`` regardless of pool width.
-    """
-    global _thread_pool, _thread_pool_size
-    n_threads = max(1, int(n_threads))
-    with _lock:
-        if _thread_pool is None or _thread_pool_size < n_threads:
-            old = _thread_pool
-            _thread_pool = ThreadPoolExecutor(
-                max_workers=n_threads, thread_name_prefix="fastlsa-wave"
-            )
-            _thread_pool_size = n_threads
-            if old is not None:
-                old.shutdown(wait=True)
-        return _thread_pool
 
 
 def get_process_pool(n_workers: int):
@@ -78,13 +49,9 @@ def get_process_pool(n_workers: int):
 
 
 def shutdown_pools() -> None:
-    """Tear down both shared pools (idempotent; used by tests and atexit)."""
-    global _thread_pool, _thread_pool_size, _process_pool
+    """Tear down the shared pool (idempotent; used by tests and atexit)."""
+    global _process_pool
     with _lock:
-        if _thread_pool is not None:
-            _thread_pool.shutdown(wait=True)
-            _thread_pool = None
-            _thread_pool_size = 0
         if _process_pool is not None:
             _process_pool.close()
             _process_pool = None

@@ -10,7 +10,7 @@ Architecture (see also :mod:`repro.parallel.shm`):
   gap parameters, the active fault plan (if any) and whether to record
   observability — everything a worker needs, shipped exactly once.
 * Per FillCache region the parent runs the tile DAG itself, sending bare
-  coordinates (``("tile", r, c, a0, a1, b0, b1)``) to idle workers and
+  coordinates (``("tile", r, c, a0, a1, b0, b1[, phase])``) to idle workers and
   advancing dependencies as ``("done", ...)`` replies drain.  Tile data
   never crosses the pipe; boundary rows/columns live in the arena.
 * Worker crashes are detected by liveness-polling the result queue: a
@@ -109,11 +109,15 @@ class _WorkerState:
         else:
             faults.disable()
 
-    def compute_tile(self, r: int, c: int, a0: int, a1: int, b0: int, b1: int) -> None:
+    def compute_tile(
+        self, r: int, c: int, a0: int, a1: int, b0: int, b1: int,
+        phase: Optional[str] = None,
+    ) -> None:
         faults.inject(SITE_TILE_START)
         sp = obs.span(
             "wavefront.tile", category="tile", r=r, c=c,
             cells=(a1 - a0) * (b1 - b0), worker=self.wid, backend="processes",
+            region="fill", phase=phase,
         )
         with sp:
             spec = self.spec
@@ -144,6 +148,8 @@ class _WorkerState:
                     self.rows_f[r + 1, b0 + 1 : b1 + 1] = bot_f[1:]
                 if a1 > a0:
                     self.cols_e[c + 1, a0 + 1 : a1 + 1] = right_e[1:]
+        if phase is not None:
+            obs.counter_add(f"wavefront.{phase}_tiles", 1)
         faults.inject(SITE_TILE_FINISH)
 
     def drain_obs(self) -> Tuple[list, dict]:
@@ -330,14 +336,16 @@ class ProcessPool:
         return out
 
     # ------------------------------------------------------------------
-    def run_region(self, tg: TileGrid) -> None:
+    def run_region(self, tg: TileGrid, phases: Optional[List[str]] = None) -> None:
         """Execute one region's tile DAG across the workers.
 
         Coordinates-only dispatch: ready tiles go to idle workers (one in
         flight per worker — the parent is the scheduler, so faster
         workers naturally steal more of the wavefront).  The first worker
         error aborts the region after draining in-flight tiles, keeping
-        the result queue clean for the next region.
+        the result queue clean for the next region.  ``phases`` (from
+        :func:`~repro.parallel.wavefront.line_phases`, by wavefront line)
+        tags each tile with its Figure-13 phase.
         """
         ids = [(t.r, t.c) for t in tg.tiles()]
         if not ids:
@@ -360,10 +368,11 @@ class ProcessPool:
                 tid = ready.pop()
                 wid = idle.pop()
                 tile = tg[tid]
+                msg = ("tile", tile.r, tile.c, tile.a0, tile.a1, tile.b0, tile.b1)
+                if phases is not None:
+                    msg += (phases[tile.r + tile.c],)
                 try:
-                    self._conns[wid].send(
-                        ("tile", tile.r, tile.c, tile.a0, tile.a1, tile.b0, tile.b1)
-                    )
+                    self._conns[wid].send(msg)
                 except (BrokenPipeError, OSError):
                     self._fail(wid)
                 busy += 1

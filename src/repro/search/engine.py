@@ -11,8 +11,8 @@ Three tiers, cheapest first, each feeding the next only what survives:
    bit-identical to brute force.
 2. **score** — survivors pay one linear-space
    :func:`~repro.core.local.local_best_cell` sweep (score + end cell, no
-   traceback), serially or fanned out on a thread/process pool
-   (``config.backend``).
+   traceback), serially or fanned out on a process pool
+   (``config.backend``) or an injected ``executor``.
 3. **align** — only the final K materialise full alignments, via
    :func:`~repro.core.local.fastlsa_local` with the tier-2 ``best_cell``
    hint so the sweep is not repeated.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -146,8 +146,8 @@ def _score_task(query_text: str, target_text: str, scheme: ScoringScheme,
     resolved kernel tier, passed explicitly because pool workers do not
     inherit the caller's registry context.  (Fault plans are per-process
     state: under the processes backend the site fires in workers only if a
-    plan is installed there — chaos tests use the serial/threads backends,
-    which share the parent's plan.)
+    plan is installed there — chaos tests use the serial backend or an
+    injected thread pool, which share the parent's plan.)
     """
     faults.inject(SITE_CANDIDATE_SCORE)
     if kernel == "compiled" and not registry.compiled_available():
@@ -171,8 +171,6 @@ def _score_task_codes(q_codes, t_codes, scheme: ScoringScheme, kernel: str = "au
 
 
 def _make_pool(backend: str, max_workers: Optional[int]) -> Optional[Executor]:
-    if backend == "threads":
-        return ThreadPoolExecutor(max_workers=max_workers or min(32, os.cpu_count() or 1))
     if backend == "processes":
         return ProcessPoolExecutor(max_workers=max_workers or os.cpu_count() or 1)
     return None
@@ -208,7 +206,7 @@ def search(
         fewer candidates scoring ``>= min_score``.
     config:
         :class:`AlignConfig`; ``backend`` picks the tier-2 scoring
-        executor (``serial`` | ``threads`` | ``processes``) and
+        executor (``serial`` | ``processes``) and
         ``k`` / ``base_cells`` parameterize the final alignments.
     min_score:
         Hits must score at least this (default 1: empty matches are not

@@ -5,9 +5,8 @@
 
 * a FIFO **job queue** with a configurable depth limit
   (:class:`~repro.errors.QueueFullError` on overflow);
-* a shared :class:`~concurrent.futures.ThreadPoolExecutor` — the same
-  pool-injection idiom :func:`repro.parallel.executor.run_wavefront`
-  exposes, so tile-parallel alignments can reuse the service pool;
+* a shared :class:`~concurrent.futures.ThreadPoolExecutor` that runs
+  jobs and searches off the event loop;
 * a **micro-batcher** that coalesces queued requests sharing a query,
   scheme, mode and plan into a single
   :func:`repro.core.batch.batch_align` call (one-vs-many amortisation);
@@ -31,9 +30,8 @@ from typing import Deque, Dict, List, Optional, Sequence as Seq, Set, Tuple
 from ..core import cancel
 from ..core.batch import _full_alignment, _quick_score, batch_align
 from ..kernels import registry
-from ..core.config import AlignConfig, FastLSAConfig
+from ..core.config import BACKENDS, AlignConfig, FastLSAConfig
 from ..core.planner import (
-    BACKENDS,
     Plan,
     arena_cells,
     degrade_plan,
@@ -127,7 +125,7 @@ class AlignmentService:
         breaker; after ``breaker_reset_after`` seconds one trial request
         is let through.
     default_backend / backend_workers:
-        Wavefront backend (``"serial"`` / ``"threads"`` / ``"processes"``)
+        Wavefront backend (``"serial"`` / ``"processes"``)
         pinned onto jobs that do not carry one, with ``backend_workers``
         wavefront workers each.  Pools are shared process-wide via
         :mod:`repro.parallel.lifecycle`, so consecutive jobs reuse warm

@@ -3,9 +3,9 @@
 Measures, on the *current* host, every curve the decision layer consumes:
 
 * cells/s per kernel tier (``align_score`` sweeps, linear + affine);
-* end-to-end FastLSA cells/s per backend × worker count (serial always,
-  plus every parallel point up to the CPU count);
-* per-tile handoff overhead of each parallel backend (the excess of the
+* end-to-end FastLSA cells/s for serial and for the process backend at
+  every worker count up to the CPU count;
+* per-tile handoff overhead of the process backend (the excess of the
   parallel wall time over serial, amortised over the top-level tile
   count — the Theorem-4 model's per-tile constant, measured);
 * band-fill throughput (the fill-only verify-or-widen loop, using its
@@ -127,19 +127,16 @@ def calibrate(
     backends: Dict[str, Dict[int, float]] = {
         "serial": {1: cells / max(t_serial, 1e-9)}
     }
-    handoff_s: Dict[str, float] = {}
-    for backend in ("threads", "processes"):
-        curve: Dict[int, float] = {}
-        slowdowns: List[float] = []
-        for workers in _worker_points(cpus, quick):
-            say(f"backend {backend} x{workers}: end-to-end FastLSA")
-            t = run_backend(backend, workers)
-            curve[workers] = cells / max(t, 1e-9)
-            u, v = default_uv(workers, PROBE_K)
-            tiles = (PROBE_K * u) * (PROBE_K * v)
-            slowdowns.append(max(0.0, t - t_serial) / tiles)
-        backends[backend] = curve
-        handoff_s[backend] = statistics.median(slowdowns) if slowdowns else 0.0
+    backends["processes"] = {}
+    slowdowns: List[float] = []
+    for workers in _worker_points(cpus, quick):
+        say(f"backend processes x{workers}: end-to-end FastLSA")
+        t = run_backend("processes", workers)
+        backends["processes"][workers] = cells / max(t, 1e-9)
+        u, v = default_uv(workers, PROBE_K)
+        tiles = (PROBE_K * u) * (PROBE_K * v)
+        slowdowns.append(max(0.0, t - t_serial) / tiles)
+    handoff_s = {"processes": statistics.median(slowdowns) if slowdowns else 0.0}
 
     # -- band fill -----------------------------------------------------
     say("band fill: verify-or-widen score throughput")

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
+from ..core.config import BACKENDS
 from ..errors import ConfigError
 
 __all__ = [
@@ -173,10 +174,10 @@ class CalibrationProfile:
 
         A parallel point only wins when its *measured* curve strictly
         beats serial throughput; by construction this function can never
-        reproduce the BENCH_pr5 regression (threads at 0.22× serial being
-        selected).  ``cells`` is accepted for signature stability with
-        richer cost models; the curves are throughput-based so it does
-        not change the argmax.
+        reproduce the BENCH_pr5 regression (a parallel backend at 0.22×
+        serial being selected).  ``cells`` is accepted for signature
+        stability with richer cost models; the curves are
+        throughput-based so it does not change the argmax.
         """
         best = ("serial", 1)
         best_cps = self.serial_cells_per_s()
@@ -242,6 +243,8 @@ class CalibrationProfile:
             )
         # JSON stringifies int keys: restore worker counts and base-buffer
         # sizes as ints so in-memory and loaded profiles are identical.
+        # Curves of backends no longer in BACKENDS (older caches) are
+        # dropped so they can never be selected.
         return cls(
             host=dict(data.get("host") or {}),
             kernels={
@@ -251,6 +254,7 @@ class CalibrationProfile:
             backends={
                 str(b): {int(w): float(v) for w, v in (c or {}).items()}
                 for b, c in (data.get("backends") or {}).items()
+                if b in BACKENDS
             },
             handoff_s={str(b): float(v) for b, v in (data.get("handoff_s") or {}).items()},
             band_fill_cells_per_s=float(data.get("band_fill_cells_per_s") or 0.0),

@@ -16,7 +16,6 @@ import repro
 from repro import AlignConfig, ConfigError, FastLSAConfig, batch_align, fastlsa
 from repro.core.config import resolve_config
 from repro.core.modes import EndsFree, ends_free_align
-from repro.parallel import parallel_fastlsa
 
 from tests.conftest import random_dna
 
@@ -37,6 +36,8 @@ class TestAlignConfig:
             AlignConfig(max_workers=0)
         with pytest.raises(ConfigError):
             AlignConfig(max_workers=-3)
+        with pytest.raises(ConfigError, match="backend"):
+            AlignConfig(backend="threads")  # deleted backend
 
     def test_band_validation(self):
         assert AlignConfig(band=16).band == 16
@@ -128,17 +129,6 @@ class TestEntryPointsAcceptConfig:
         assert via_config.score is not None
         with pytest.raises(ConfigError, match="fastlsa: the k, base_cells"):
             fastlsa(a, b, dna_scheme, k=3, base_cells=512)
-
-    def test_parallel_fastlsa(self, rng, dna_scheme):
-        a, b = random_dna(rng, 150), random_dna(rng, 150)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            via_config = parallel_fastlsa(
-                a, b, dna_scheme, P=2, config=AlignConfig(k=3, base_cells=900)
-            )
-        assert via_config.score is not None
-        with pytest.raises(ConfigError, match="parallel_fastlsa"):
-            parallel_fastlsa(a, b, dna_scheme, P=2, k=3, base_cells=900)
 
     def test_batch_align(self, rng, dna_scheme):
         q = random_dna(rng, 60)

@@ -1,10 +1,10 @@
-"""Backend parity: serial vs threads vs processes, bit-for-bit.
+"""Backend parity: serial vs processes, bit-for-bit.
 
-The wavefront backends are pure execution strategies — every one must
-produce the *identical* optimal score AND the identical traceback path
-for the same inputs and FastLSA parameters.  This suite sweeps the
-differential harness's ``k`` / base-case configurations across all three
-backends (linear and affine schemes, plus the ends-free modes), and
+The wavefront backend is a pure execution strategy — it must produce
+the *identical* optimal score AND the identical traceback path as the
+serial recursion for the same inputs and FastLSA parameters.  This suite
+sweeps the differential harness's ``k`` / base-case configurations across
+both backends (linear and affine schemes, plus the ends-free modes), and
 exercises the process backend's failure surface: a killed worker must
 come back as a typed, transient :class:`~repro.errors.WorkerCrashError`
 (never a hang), injected faults must propagate with their site, and
@@ -28,14 +28,14 @@ from repro import WorkerCrashError, fastlsa, faults, obs
 from repro.core import AlignConfig, overlap_align, semiglobal_align
 from repro.errors import InjectedFaultError, MemoryBudgetError
 from repro.faults.plan import SITE_TILE_START, FaultPlan, FaultSpec
-from repro.parallel import active_shm_names, get_process_pool, parallel_fastlsa
+from repro.parallel import active_shm_names, get_process_pool
 from repro.service.governor import MemoryGovernor
 from repro.service.resilience import is_transient
 from repro.workloads import dna_pair, protein_pair
 
 from .test_differential import SWEEP, _assert_optimal
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["processes"]
 
 
 def _with_backend(config: AlignConfig, backend: str, workers: int = 2) -> AlignConfig:
@@ -87,17 +87,6 @@ class TestScoreAndPathParity:
             got = fn(a, b, dna_scheme, config=bcfg)
             assert got.score == ref.score
             assert got.alignment.path.points == ref.alignment.path.points
-
-    def test_parallel_fastlsa_backend_param(self, dna_scheme):
-        a, b = dna_pair(140, divergence=0.25, seed=7)
-        ref = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=256))
-        got = parallel_fastlsa(
-            a, b, dna_scheme, P=2,
-            config=AlignConfig(k=4, base_cells=256), backend="processes",
-        )
-        assert got.score == ref.score
-        assert got.path.points == ref.path.points
-        assert "processes" in got.algorithm
 
 
 class TestProcessFailureSurface:

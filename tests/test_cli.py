@@ -31,6 +31,12 @@ class TestParser:
         args = build_parser().parse_args(["align", "a.fa", "b.fa"])
         assert args.quiet is False
 
+    def test_deleted_threads_backend_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", "a.fa", "b.fa", "--backend", "threads"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"

@@ -133,10 +133,10 @@ class TestSchedulerCarryConfig:
         assert plan.config.k < 8 or plan.config.base_cells < 65_536
 
     def test_backend_dropped_without_profile(self):
-        cfg = AlignConfig(k=8, base_cells=65_536, backend="threads", max_workers=2)
+        cfg = AlignConfig(k=8, base_cells=65_536, backend="processes", max_workers=2)
         job = _lead_job(2_000, 2_000, _scheme(), cfg)
         plan, dropped = self._carry("off", job)
-        assert dropped == "threads"
+        assert dropped == "processes"
         assert plan.config.backend is None
 
     def test_backend_dropped_when_curve_loses_to_serial(self):
@@ -149,11 +149,11 @@ class TestSchedulerCarryConfig:
         assert plan.config.backend is None
 
     def test_backend_kept_when_curve_still_wins(self):
-        cfg = AlignConfig(k=8, base_cells=65_536, backend="threads", max_workers=2)
+        cfg = AlignConfig(k=8, base_cells=65_536, backend="processes", max_workers=2)
         job = _lead_job(3_000, 3_000, _scheme(), cfg, reserved=10_000_000)
         plan, dropped = self._carry(synthetic_profile("fast-8cpu"), job)
         assert dropped is None
-        assert plan.config.backend == "threads"
+        assert plan.config.backend == "processes"
         assert plan.config.max_workers == 2
 
     def test_reservation_invariant_arena_included(self):
@@ -183,7 +183,7 @@ class TestSchedulerCarryConfig:
                 tune=synthetic_profile("slow-1cpu"),
             )
             cfg = AlignConfig(
-                k=8, base_cells=65_536, backend="threads", max_workers=2
+                k=8, base_cells=65_536, backend="processes", max_workers=2
             )
             job = _lead_job(2_000, 2_000, _scheme(), cfg)
             assert svc._degrade_group([job], "memory_budget")
@@ -192,7 +192,7 @@ class TestSchedulerCarryConfig:
         job = asyncio.run(run())
         assert len(job.downgrades) == 1
         assert "memory_budget" in job.downgrades[0]
-        assert "backend:threads->serial" in job.downgrades[0]
+        assert "backend:processes->serial" in job.downgrades[0]
         assert job.plan.config.backend is None
 
 
@@ -213,7 +213,7 @@ class TestGovernorSurfacesClampNotes:
         gov = MemoryGovernor(total_cells=50_000_000, max_workers=1)
         plan = gov.admit(
             500, 500,
-            config=AlignConfig(backend="threads", max_workers=cap + 3),
+            config=AlignConfig(backend="processes", max_workers=cap + 3),
         )
         assert plan.downgrades == (f"workers_clamped:{cap + 3}->{cap}",)
 
@@ -230,7 +230,7 @@ class TestGovernorSurfacesClampNotes:
                 job = await svc.submit(
                     a, b, dna_scheme,
                     config=AlignConfig(
-                        backend="threads", max_workers=cap + 5
+                        backend="processes", max_workers=cap + 5
                     ),
                 )
                 return await job.future

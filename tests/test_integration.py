@@ -14,7 +14,6 @@ from repro.align import check_alignment
 from repro.baselines import hirschberg, needleman_wunsch
 from repro.core import fastlsa
 from repro.errors import ConfigError
-from repro.parallel import parallel_fastlsa
 from repro.workloads import dna_pair, protein_pair
 from repro.scoring import ScoringScheme, blosum62, linear_gap
 
@@ -27,7 +26,10 @@ class TestAllAlgorithmsAgree:
             "hirschberg": hirschberg(a, b, dna_scheme),
             "fastlsa-k2": fastlsa(a, b, dna_scheme, config=AlignConfig(k=2, base_cells=256)),
             "fastlsa-k8": fastlsa(a, b, dna_scheme, config=AlignConfig(k=8, base_cells=1024)),
-            "parallel-p4": parallel_fastlsa(a, b, dna_scheme, P=4, config=AlignConfig(k=4, base_cells=256)),
+            "processes-p2": fastlsa(
+                a, b, dna_scheme,
+                config=AlignConfig(k=4, base_cells=256, max_workers=2, backend="processes"),
+            ),
         }
         scores = {name: r.score for name, r in results.items()}
         assert len(set(scores.values())) == 1, scores

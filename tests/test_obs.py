@@ -18,7 +18,6 @@ from repro.errors import ConfigError
 from repro.kernels.ops import KernelInstruments
 from repro.obs import Instrumentation, MetricsRegistry, Tracer
 from repro.obs import runtime as obs_runtime
-from repro.parallel import parallel_fastlsa
 from repro.parallel.wavefront import PHASE_NAMES
 
 from tests.conftest import random_dna
@@ -281,10 +280,10 @@ class TestWavefrontSpans:
     def test_tile_spans_tagged_with_phases(self, rng, dna_scheme):
         a = random_dna(rng, 220)
         b = random_dna(rng, 240)
-        config = AlignConfig(k=3, base_cells=900)
-        seq = fastlsa(a, b, dna_scheme, config=config)
+        seq = fastlsa(a, b, dna_scheme, config=AlignConfig(k=3, base_cells=900))
+        config = AlignConfig(k=3, base_cells=900, max_workers=2, backend="processes")
         with obs.instrumented() as inst:
-            par = parallel_fastlsa(a, b, dna_scheme, P=2, config=config)
+            par = fastlsa(a, b, dna_scheme, config=config)
         assert par.score == seq.score
         assert par.gapped_a == seq.gapped_a
 
@@ -293,14 +292,12 @@ class TestWavefrontSpans:
         assert {t.attrs["phase"] for t in tiles} <= set(PHASE_NAMES)
         assert {t.attrs["region"] for t in tiles} <= {"fill", "base"}
 
-        # Per-phase counters add up to the tile span count.
+        # Per-phase counters (recorded in the workers, merged back) add
+        # up to the tile span count.
         counted = sum(
             inst.metrics.counter(f"wavefront.{p}_tiles").value for p in PHASE_NAMES
         )
         assert counted == len(tiles)
-
-        # Tile wait histogram saw every dispatched tile.
-        assert inst.metrics.histogram("wavefront.tile_wait").count == len(tiles)
         assert inst.tracer.find("wavefront.run")
 
     def test_phase_report_renders(self, rng, dna_scheme):

@@ -1,63 +1,42 @@
 """Affine-gap coverage of the parallel machinery.
 
 The affine grid caches carry gap-state vectors across tile boundaries;
-these tests make sure the threaded wavefront and the simulated machine
+these tests make sure the process backend and the simulated machine
 handle them at scales that force multi-level recursion and every tile
-topology (interior, edge, corner, skipped-neighbour).
+topology (interior, edge, corner, skipped-neighbour).  Grid-line parity
+of the process backend's affine FillCache is covered bit-for-bit by
+``tests/test_backend_parity.py``.
 """
-
-import numpy as np
-import pytest
 
 from repro.align import check_alignment
 from repro import AlignConfig
-from repro.core import Grid, fastlsa, fill_grid
-from repro.core.fastlsa import initial_problem
-from repro.parallel import parallel_fastlsa, simulated_parallel_fastlsa
-from repro.parallel.pfastlsa import _parallel_fill_grid
+from repro.core import fastlsa
+from repro.parallel import simulated_parallel_fastlsa
 from tests.conftest import random_protein
 
 
+def _processes(k: int, base_cells: int, P: int = 2) -> AlignConfig:
+    return AlignConfig(k=k, base_cells=base_cells, max_workers=P, backend="processes")
+
+
 class TestParallelFillAffine:
-    @pytest.mark.parametrize("u,v", [(1, 1), (2, 2), (2, 3)])
-    def test_threaded_fill_matches_sequential(self, rng, affine_scheme, u, v):
-        scheme = affine_scheme
-        m = n = 60
-        a = random_protein(rng, m)
-        b = random_protein(rng, n)
-        ac, bc = scheme.encode(a), scheme.encode(b)
-
-        g_seq = Grid(initial_problem(m, n, scheme), 3, affine=True)
-        fill_grid(g_seq, ac, bc, scheme)
-        g_par = Grid(initial_problem(m, n, scheme), 3, affine=True)
-        _parallel_fill_grid(g_par, ac, bc, scheme, None, True, P=4, u=u, v=v)
-
-        for p in range(1, len(g_seq.row_bounds) - 1):
-            ls, lp = g_seq.row_line(p, 0, n), g_par.row_line(p, 0, n)
-            assert np.array_equal(ls.h, lp.h), f"row {p} H"
-            assert np.array_equal(ls.f[1:], lp.f[1:]), f"row {p} F"
-        for q in range(1, len(g_seq.col_bounds) - 1):
-            ls, lp = g_seq.col_line(q, 0, m), g_par.col_line(q, 0, m)
-            assert np.array_equal(ls.h, lp.h), f"col {q} H"
-            assert np.array_equal(ls.e[1:], lp.e[1:]), f"col {q} E"
-
     def test_tile_edges_carry_gap_state(self, rng, affine_scheme):
         """A gap run longer than a tile must survive tile hand-off."""
         scheme = affine_scheme
         a = "A" * 50  # forces a 40-residue vertical run somewhere
         b = "A" * 10
         seq = fastlsa(a, b, scheme, config=AlignConfig(k=2, base_cells=36))
-        par = parallel_fastlsa(a, b, scheme, P=3, config=AlignConfig(k=2, base_cells=36), u=3, v=3)
+        par = fastlsa(a, b, scheme, config=_processes(2, 36))
         assert par.score == seq.score
         assert par.gapped_a == seq.gapped_a
 
 
 class TestParallelDriversAffine:
-    def test_threaded_multi_level_recursion(self, rng, affine_scheme):
+    def test_processes_multi_level_recursion(self, rng, affine_scheme):
         a = random_protein(rng, 200)
         b = random_protein(rng, 190)
         seq = fastlsa(a, b, affine_scheme, config=AlignConfig(k=3, base_cells=200))
-        par = parallel_fastlsa(a, b, affine_scheme, P=4, config=AlignConfig(k=3, base_cells=200))
+        par = fastlsa(a, b, affine_scheme, config=_processes(3, 200))
         assert par.score == seq.score
         assert check_alignment(par, affine_scheme)[0]
         assert seq.stats.recursion_depth >= 3  # multi-level exercised
@@ -80,5 +59,5 @@ class TestParallelDriversAffine:
         a = random_protein(rng, 40)
         b = random_protein(rng, 37)
         seq = fastlsa(a, b, affine_scheme, config=AlignConfig(k=2, base_cells=36))
-        par = parallel_fastlsa(a, b, affine_scheme, P=2, config=AlignConfig(k=2, base_cells=36), u=4, v=4)
+        par = fastlsa(a, b, affine_scheme, config=_processes(2, 36))
         assert par.score == seq.score

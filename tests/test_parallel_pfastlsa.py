@@ -1,4 +1,4 @@
-"""Tests for Parallel FastLSA drivers (threaded + simulated)."""
+"""Tests for Parallel FastLSA: the process backend and the simulated machine."""
 
 import pytest
 
@@ -6,18 +6,22 @@ from repro.align import check_alignment
 from repro import AlignConfig
 from repro.core import fastlsa
 from repro.errors import ConfigError
-from repro.parallel import parallel_fastlsa, simulated_parallel_fastlsa
+from repro.parallel import simulated_parallel_fastlsa
 from tests.conftest import random_dna, random_protein
 
 
-class TestThreaded:
-    @pytest.mark.parametrize("P", [1, 2, 4])
+def _processes(k: int, base_cells: int, P: int) -> AlignConfig:
+    return AlignConfig(k=k, base_cells=base_cells, max_workers=P, backend="processes")
+
+
+class TestProcesses:
+    @pytest.mark.parametrize("P", [1, 2])
     def test_identical_to_sequential_linear(self, rng, dna_scheme, P):
         for _ in range(4):
             a = random_dna(rng, int(rng.integers(0, 120)))
             b = random_dna(rng, int(rng.integers(0, 120)))
             seq = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=64))
-            par = parallel_fastlsa(a, b, dna_scheme, P=P, config=AlignConfig(k=4, base_cells=64))
+            par = fastlsa(a, b, dna_scheme, config=_processes(4, 64, P))
             assert par.score == seq.score
             assert par.gapped_a == seq.gapped_a and par.gapped_b == seq.gapped_b
 
@@ -26,23 +30,19 @@ class TestThreaded:
             a = random_protein(rng, int(rng.integers(10, 90)))
             b = random_protein(rng, int(rng.integers(10, 90)))
             seq = fastlsa(a, b, affine_scheme, config=AlignConfig(k=3, base_cells=100))
-            par = parallel_fastlsa(a, b, affine_scheme, P=3, config=AlignConfig(k=3, base_cells=100))
+            par = fastlsa(a, b, affine_scheme, config=_processes(3, 100, 2))
             assert par.score == seq.score
             assert check_alignment(par, affine_scheme)[0]
 
     def test_cells_computed_matches_sequential(self, rng, dna_scheme):
         a, b = random_dna(rng, 100), random_dna(rng, 100)
         seq = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=64))
-        par = parallel_fastlsa(a, b, dna_scheme, P=2, config=AlignConfig(k=4, base_cells=64))
+        par = fastlsa(a, b, dna_scheme, config=_processes(4, 64, 2))
         assert par.stats.cells_computed == seq.stats.cells_computed
 
-    def test_invalid_p(self, dna_scheme):
+    def test_invalid_p(self):
         with pytest.raises(ConfigError):
-            parallel_fastlsa("AC", "AC", dna_scheme, P=0)
-
-    def test_algorithm_name(self, dna_scheme):
-        par = parallel_fastlsa("ACGT", "ACGA", dna_scheme, P=2)
-        assert "P=2" in par.algorithm
+            _processes(4, 64, 0)
 
 
 class TestSimulated:

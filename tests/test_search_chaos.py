@@ -12,9 +12,10 @@ Two properties, proved under injected faults:
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro import AlignConfig
 from repro.align import Sequence
 from repro.errors import CandidateFailedError, CorruptIndexError
 from repro.faults import (
@@ -66,13 +67,19 @@ class TestIndexRot:
 
 
 class TestFlakyScoring:
-    @pytest.mark.parametrize("backend", [None, "threads"])
-    def test_retries_preserve_exact_topk(self, corpus, backend):
+    @pytest.mark.parametrize("pool", [None, "threads"])
+    def test_retries_preserve_exact_topk(self, corpus, pool):
         records, index, query = corpus
-        cfg = AlignConfig(backend=backend, max_workers=2) if backend else None
-        with chaos(named_plan("flaky-search", seed=7)):
-            res = search(query, index, _scheme(), top_k=5,
-                         config=cfg, retries=6)
+        # "threads": tier 2 on an injected thread pool, whose workers see
+        # the parent's fault plan, so the pool path's retries are exercised.
+        executor = ThreadPoolExecutor(max_workers=2) if pool else None
+        try:
+            with chaos(named_plan("flaky-search", seed=7)):
+                res = search(query, index, _scheme(), top_k=5,
+                             executor=executor, retries=6)
+        finally:
+            if executor is not None:
+                executor.shutdown()
         assert res.complete and not res.stats.failed
         assert res.stats.retries > 0, "the plan should actually have fired"
         assert_hits_match(res.hits, brute_force(query, records, _scheme(), 5),

@@ -9,6 +9,8 @@ skips a provable majority of candidates.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import AlignConfig, ConfigError, JobTimeoutError, smith_waterman
@@ -65,11 +67,11 @@ def assert_hits_match(hits, expected, records):
 
 
 class TestDifferential:
-    """search() == brute force, across gap models × backends × seeds."""
+    """search() == brute force, across gap models × tier-2 pools × seeds."""
 
     @pytest.mark.parametrize("scheme_name", ["dna_scheme", "affine_dna_scheme"])
-    @pytest.mark.parametrize("backend", [None, "threads", "processes"])
-    def test_matches_brute_force(self, request, rng, scheme_name, backend):
+    @pytest.mark.parametrize("pool", [None, "threads", "processes"])
+    def test_matches_brute_force(self, request, rng, scheme_name, pool):
         scheme = request.getfixturevalue(scheme_name)
         base = Sequence(random_dna(rng, 90), name="base")
         records = make_corpus(rng, base, n_homologs=5, n_decoys=18, n_randoms=6)
@@ -77,8 +79,12 @@ class TestDifferential:
         query = evolve(base, sub_rate=0.05, indel_rate=0.02, rng=rng,
                        alphabet="ACGT", name="query")
 
-        cfg = AlignConfig(backend=backend, max_workers=2) if backend else None
-        res = search(query, index, scheme, top_k=5, config=cfg)
+        if pool == "threads":  # a caller-injected pool (executor=)
+            with ThreadPoolExecutor(max_workers=2) as executor:
+                res = search(query, index, scheme, top_k=5, executor=executor)
+        else:
+            cfg = AlignConfig(backend=pool, max_workers=2) if pool else None
+            res = search(query, index, scheme, top_k=5, config=cfg)
 
         assert_hits_match(res.hits, brute_force(query, records, scheme, 5), records)
         assert res.complete
@@ -160,8 +166,6 @@ class TestEngineBehaviour:
             search("ACGTACGT", index, dna_scheme, top_k=2, deadline=0.0)
 
     def test_external_executor_not_shut_down(self, rng, dna_scheme):
-        from concurrent.futures import ThreadPoolExecutor
-
         base = Sequence(random_dna(rng, 50), name="base")
         records = make_corpus(rng, base, n_homologs=3, n_decoys=8, n_randoms=3)
         index = CorpusIndex.build(records, "ACGT")

@@ -124,15 +124,19 @@ class TestProtocolHandler:
         assert all(h["plan"]["k"] == 3 for h in responses[0]["result"]["hits"])
 
     def test_bad_config_is_protocol_error(self):
-        for bad in ({"kay": 4}, {"k": "four"}, {"k": 1}, "k=4"):
+        bads = ({"kay": 4}, {"k": "four"}, {"k": 1}, "k=4", {"backend": "threads"})
+        for bad in bads:
             responses, _ = run_requests(
                 {"memory_cells": 100_000},
-                [{"op": "align", "id": 13, "a": "AC", "b": "AC", "config": bad}],
+                [{"op": "align", "id": 13, "a": "AC", "b": "AC", "config": bad},
+                 {"op": "align", "id": 14, "a": "AC", "b": "AC"}],
+                waves=2,
             )
             resp = responses[0]
             assert not resp["ok"]
             assert resp["error"]["type"] == "ProtocolError"
             assert "config" in resp["error"]["message"]
+            assert responses[1]["ok"]  # the server keeps serving
 
     def test_over_budget_pinned_config_rejected(self):
         # k=2, huge base_cells: the pinned config's peak exceeds the

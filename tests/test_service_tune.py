@@ -95,7 +95,7 @@ class TestTunedAdmission:
         async def run():
             async with AlignmentService(
                 memory_cells=50_000_000,
-                default_backend="threads",
+                default_backend="processes",
                 backend_workers=2,
                 tune=synthetic_profile("slow-1cpu"),  # says: serial!
             ) as svc:
@@ -105,8 +105,8 @@ class TestTunedAdmission:
                 return job
 
         job = _run(run())
-        # The operator pinned threads explicitly; tuning must not undo it.
-        assert job.plan.config.backend == "threads"
+        # The operator pinned processes explicitly; tuning must not undo it.
+        assert job.plan.config.backend == "processes"
 
     def test_per_job_tune_off_opts_out(self, dna_scheme):
         async def run():

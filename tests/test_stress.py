@@ -10,7 +10,6 @@ from repro.align import check_alignment
 from repro import AlignConfig
 from repro.baselines import hirschberg, needleman_wunsch
 from repro.core import banded_align_auto, fastlsa
-from repro.parallel import parallel_fastlsa
 from tests.conftest import random_dna
 
 def adversarial_pairs(rng):
@@ -50,21 +49,23 @@ class TestAdversarialInputs:
             nw = needleman_wunsch(a, b, dna_scheme)
             assert res.alignment.score == nw.score, label
 
-    def test_threaded_parity(self, rng, dna_scheme):
+    def test_processes_parity(self, rng, dna_scheme):
+        par_cfg = AlignConfig(k=3, base_cells=128, max_workers=2, backend="processes")
         for label, a, b in adversarial_pairs(rng):
             seq = fastlsa(a, b, dna_scheme, config=AlignConfig(k=3, base_cells=128))
-            par = parallel_fastlsa(a, b, dna_scheme, P=4, config=AlignConfig(k=3, base_cells=128))
+            par = fastlsa(a, b, dna_scheme, config=par_cfg)
             assert par.score == seq.score, label
             assert par.gapped_a == seq.gapped_a, label
 
 
-class TestThreadedRepeatability:
+class TestProcessesRepeatability:
     def test_many_runs_identical(self, rng, dna_scheme):
         """Races would show up as run-to-run divergence."""
         a, b = random_dna(rng, 400), random_dna(rng, 400)
         baseline = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=1024))
+        par_cfg = AlignConfig(k=4, base_cells=1024, max_workers=2, backend="processes")
         for _ in range(5):
-            par = parallel_fastlsa(a, b, dna_scheme, P=8, config=AlignConfig(k=4, base_cells=1024))
+            par = fastlsa(a, b, dna_scheme, config=par_cfg)
             assert par.score == baseline.score
             assert par.gapped_a == baseline.gapped_a
             assert par.gapped_b == baseline.gapped_b
@@ -75,7 +76,8 @@ class TestThreadedRepeatability:
         a = random_protein(rng, 250)
         b = random_protein(rng, 260)
         baseline = fastlsa(a, b, affine_scheme, config=AlignConfig(k=3, base_cells=512))
+        par_cfg = AlignConfig(k=3, base_cells=512, max_workers=2, backend="processes")
         for _ in range(3):
-            par = parallel_fastlsa(a, b, affine_scheme, P=6, config=AlignConfig(k=3, base_cells=512))
+            par = fastlsa(a, b, affine_scheme, config=par_cfg)
             assert par.score == baseline.score
             assert par.gapped_a == baseline.gapped_a

@@ -15,10 +15,13 @@ import warnings
 
 import pytest
 
+from repro.core.config import AlignConfig
 from repro.errors import ConfigError
 from repro.tune import (
     SCHEMA_VERSION,
     CalibrationProfile,
+    autotune_config,
+    choose,
     default_cache_path,
     host_fingerprint,
     host_info,
@@ -35,8 +38,8 @@ def _real_host_profile() -> CalibrationProfile:
     return CalibrationProfile(
         host=dict(info, fingerprint=host_fingerprint(info)),
         kernels={"numpy": {"linear_cells_per_s": 80e6, "affine_cells_per_s": 30e6}},
-        backends={"serial": {1: 80e6}, "threads": {2: 20e6}},
-        handoff_s={"threads": 1e-4, "processes": 1e-4},
+        backends={"serial": {1: 80e6}, "processes": {2: 20e6}},
+        handoff_s={"processes": 1e-4},
         band_fill_cells_per_s=100e6,
         base_sweep={16384: 70e6, 262144: 80e6},
         quick=True,
@@ -48,7 +51,7 @@ class TestRoundtrip:
         p = _real_host_profile()
         q = CalibrationProfile.from_dict(p.to_dict())
         assert q.to_dict() == p.to_dict()
-        assert q.backends["threads"][2] == pytest.approx(20e6)
+        assert q.backends["processes"][2] == pytest.approx(20e6)
         assert q.base_sweep[16384] == pytest.approx(70e6)
 
     def test_json_keys_roundtrip_as_ints(self, tmp_path):
@@ -58,8 +61,27 @@ class TestRoundtrip:
         path = tmp_path / "cal.json"
         p.save(str(path))
         q = CalibrationProfile.load(str(path))
-        assert q.cells_per_s("threads", 2) == pytest.approx(20e6)
+        assert q.cells_per_s("processes", 2) == pytest.approx(20e6)
         assert all(isinstance(k, int) for k in q.base_sweep)
+
+    @pytest.mark.parametrize("others", [{"processes": {2: 120e6}}, {}])
+    def test_deleted_backend_curves_are_dropped(self, tmp_path, others):
+        """Caches written when a ``threads`` backend existed must never
+        steer a job onto it: its curves are dropped on load, and the
+        decision falls to the remaining backends."""
+        data = _real_host_profile().to_dict()
+        data["backends"] = {"serial": {"1": 80e6}, "threads": {"2": 500e6}, **others}
+        data["handoff_s"] = {"threads": 1e-5, "processes": 1e-4}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(data))
+        q = CalibrationProfile.load(str(path))
+        assert "threads" not in q.backends
+        want = "processes" if others else "serial"
+        assert choose(q, 20_000, 20_000).backend == want
+        # Building the tuned AlignConfig validates its backend, so a
+        # surviving threads pick would raise ConfigError here.
+        cfg, _ = autotune_config(AlignConfig(), 20_000, 20_000, profile=q)
+        assert (cfg.backend or "serial") == want
 
     def test_save_is_atomic_no_tmp_left(self, tmp_path):
         p = _real_host_profile()
@@ -185,7 +207,7 @@ class TestCurveQueries:
 
     def test_cells_per_s_unmeasured_is_none(self):
         p = synthetic_profile("slow-1cpu")
-        assert p.cells_per_s("threads", 64) is None
+        assert p.cells_per_s("processes", 64) is None
         assert p.cells_per_s("gpu", 1) is None
 
     def test_best_base_cells_is_sweep_argmax(self):
@@ -209,4 +231,4 @@ def test_quick_calibrate_produces_consumable_profile(tmp_path):
     profile.save(path)
     assert load_cached(path) is not None
     cfg, _ = autotune_config(AlignConfig(), 512, 512, profile=profile)
-    assert cfg.backend in ("serial", "threads", "processes")
+    assert cfg.backend in ("serial", "processes")
