@@ -8,9 +8,9 @@ to the first recursive sub-problem (legible in the paper's Figure 13
 discussion: "the tiles belonging to the bottom-right FastLSA subproblem
 are not computed for a Fill Cache subproblem").
 
-The parallel implementation (:mod:`repro.parallel.pfastlsa`) replaces this
-module's walk with a tiled wavefront but produces byte-identical grid
-lines.
+The process backend (:mod:`repro.parallel.backends`) replaces this
+module's walk with a strip wavefront — the same band kernel over column
+strips, one worker per strip — and produces byte-identical grid lines.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def fill_grid(
     grid-column values at the interior split positions on the fly.  This
     keeps every numpy row operation full-width — a ``k×`` reduction in
     per-row call overhead over per-block sweeps — while producing exactly
-    the same grid lines.  (The parallel driver keeps the tile-by-tile walk
-    of :func:`compute_block`, which is what the wavefront needs.)
+    the same grid lines.  (The process backend runs the same band sweep
+    on column strips, one worker per strip.)
 
     The bottom-right block is skipped: the last band stops at the final
     interior column split.  ``a_codes`` / ``b_codes`` are the encodings of

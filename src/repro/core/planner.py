@@ -37,6 +37,7 @@ __all__ = [
     "grid_cells_bound",
     "fastlsa_peak_cells",
     "arena_cells",
+    "strip_rows",
     "resolve_backend",
     "worker_cap",
     "BACKENDS",
@@ -169,41 +170,49 @@ def resolve_backend(
     return backend, workers
 
 
+def strip_rows(workers: int, k: int) -> int:
+    """Row tiles per grid block row (``u``) of the process backend's strips.
+
+    The process backend cuts each FillCache region into ``C = min(P, k)``
+    full-width column strips and ``R = k·u`` row tiles.  Worker ``c``
+    sweeps strip ``c`` top to bottom, one row tile behind its left
+    neighbour, so the pipeline runs ``R + C − 1`` stages for ``R`` stages
+    of work.  ``u`` is the smallest value keeping Theorem 4's factor for
+    ``C`` busy workers, ``1 + (C² − C)/(R·C) = 1 + (C − 1)/R``, at or
+    under 1.0625 (``u = 2`` at ``P = 2``, ``k = 8``; measured best of
+    ``u`` = 1..4 there, see docs/PERFORMANCE.md).
+    """
+    C = max(1, min(workers, k))
+    u = 1
+    while k * u < 16 * (C - 1):
+        u += 1
+    return u
+
+
 def arena_cells(
     m: int,
     n: int,
     k: int,
     workers: int,
     affine: bool = False,
-    u: "int | None" = None,
-    v: "int | None" = None,
+    alphabet: int = 32,
 ) -> int:
-    """Shared-memory tile-arena size (in DP cells) for the process backend.
+    """Shared-memory arena size (in DP cells) for the process backend.
 
-    The arena holds every tile boundary of the top-level FillCache region:
-    with tiles of ``k·u × k·v`` (``u = v`` chosen so the wavefront keeps
-    ``P`` workers busy — see :func:`repro.parallel.tiles.default_uv`),
-    that is ``(k·u + 1)`` boundary rows of ``n + 1`` cells and
-    ``(k·v + 1)`` boundary columns of ``m + 1`` cells, doubled for affine
-    (H+F rows, H+E columns), plus the encoded sequences and the published
-    score profile.  The governor adds this on top of
+    The arena holds every strip boundary of the top-level FillCache
+    region: ``k·u + 1`` boundary rows of ``n + 1`` cells (``u`` from
+    :func:`strip_rows`) and ``k + 1`` grid columns of ``m + 1`` cells,
+    doubled for affine (H+F rows, H+E columns), plus the uint8-encoded
+    sequences (rounded up to cells) and the published score profile,
+    one int64 row per alphabet symbol.  The governor adds this on top of
     :func:`fastlsa_peak_cells` when admitting a processes-backend job.
     """
-    if u is None or v is None:
-        # default_uv(P, k): smallest t with (k·t)² ≥ 4P² (inlined to keep
-        # the planner importable without the parallel package).
-        t = 1
-        while (k * t) * (k * t) < 4 * workers * workers:
-            t += 1
-        u = u if u is not None else t
-        v = v if v is not None else t
     line_layers = 2 if affine else 1
+    u = strip_rows(workers, k)
     rows = (k * u + 1) * (n + 1) * line_layers
-    cols = (k * v + 1) * (m + 1) * line_layers
-    # Encoded sequences are uint8 (1/8 cell each) and the profile is one
-    # int64 row per alphabet symbol; round both up to cells.
-    seqs = (m + n) // CELL_BYTES + 1
-    profile = 32 * (n + 1)
+    cols = (k + 1) * (m + 1) * line_layers
+    seqs = -(-(max(m, 1) + max(n, 1)) // CELL_BYTES)
+    profile = max(alphabet, 1) * max(n, 1)
     return rows + cols + seqs + profile
 
 

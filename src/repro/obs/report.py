@@ -20,9 +20,18 @@ __all__ = ["phase_rows", "phase_table"]
 
 
 def phase_rows(inst: Instrumentation) -> List[Dict]:
-    """One aggregate row per span name, ordered by total time."""
+    """One aggregate row per span name, ordered by total time.
+
+    ``total_s`` counts only the outermost span of each name on a path
+    from a root: a recursive span (``fastlsa.recurse`` inside
+    ``fastlsa.recurse``) would otherwise count its nested time once per
+    level and outgrow the root that contains it.  ``count``, ``cells``
+    and ``self_s`` cover every span.
+    """
     agg: Dict[str, Dict] = {}
-    for span in inst.tracer.walk():
+    stack = [(span, frozenset()) for span in reversed(list(inst.tracer.roots))]
+    while stack:
+        span, outer = stack.pop()
         row = agg.setdefault(
             span.name,
             {
@@ -35,8 +44,11 @@ def phase_rows(inst: Instrumentation) -> List[Dict]:
         )
         row["count"] += 1
         row["cells"] += int(span.attrs.get("cells", 0))
-        row["total_s"] += span.duration
+        if span.name not in outer:
+            row["total_s"] += span.duration
         row["self_s"] += span.self_time
+        inner = outer | {span.name}
+        stack.extend((child, inner) for child in reversed(span.children))
     rows = sorted(agg.values(), key=lambda r: -r["total_s"])
     for row in rows:
         row["total_s"] = round(row["total_s"], 6)

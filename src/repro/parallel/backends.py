@@ -10,33 +10,53 @@ the CLI — therefore routes through here with no extra plumbing.
 ``processes`` is the one physical parallel backend: a
 :class:`~repro.parallel.procpool.ProcessPool` session around a
 :class:`~repro.parallel.shm.SharedArena` — sequences encoded once to
-uint8 and published, tile boundaries exchanged zero-copy,
-coordinates-only dispatch.  The dense base case stays serial in-parent:
-base regions are cache-sized by construction, so process dispatch
-overhead would dominate any win.
+uint8 and published, strip boundaries exchanged zero-copy,
+coordinates-only dispatch.
+
+Each FillCache region runs as a **strip wavefront**
+(:func:`strip_tiles`): cut on grid lines into ``C = min(P, k)``
+full-width column strips and ``R = k·u`` row tiles (``u`` from
+:func:`~repro.core.planner.strip_rows`), worker ``c`` owning strip ``c``
+and sweeping each tile with the tier's ``sweep_band`` — the kernel
+serial :func:`~repro.core.fillcache.fill_grid` runs, so a tile row pays
+the numpy per-call overhead once per strip rather than once per block.
+The paper's ``u × v`` tile model (:func:`~repro.parallel.pfastlsa.build_fill_tiles`)
+stays the simulator's.
+
+Regions under :data:`STRIP_CUTOFF_CELLS` are filled in the parent with
+``fill_grid``: below it, dispatch costs more than the second core saves.
+An alignment whose regions all fall under it never binds the pool.  The
+dense base case also stays serial in-parent: base regions are
+cache-sized by construction.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.fastlsa import FastLSAHooks
-from ..core.planner import arena_cells, resolve_backend
+from ..core.fillcache import fill_grid
+from ..core.planner import arena_cells, resolve_backend, strip_rows
 from ..faults import runtime as faults
 from ..kernels import registry
 from ..kernels.linear import score_profile
 from ..obs import runtime as obs
 from ..scoring.scheme import ScoringScheme
 from . import lifecycle
-from .pfastlsa import build_fill_tiles
 from .procpool import SessionSpec
 from .shm import SharedArena, arena_spec
-from .tiles import default_uv
+from .tiles import refine_bounds
 from .wavefront import line_phases
 
-__all__ = ["backend_hooks", "ProcessSession"]
+__all__ = ["backend_hooks", "ProcessSession", "strip_tiles", "STRIP_CUTOFF_CELLS"]
+
+#: FillCache regions with fewer cells than this are filled in the parent
+#: (serial ``fill_grid``) instead of dispatched as strips: on a 2-CPU
+#: host, numpy tier, P = 2, strips broke even with serial at a 4000²
+#: top-level region and lost below it (docs/PERFORMANCE.md).
+STRIP_CUTOFF_CELLS = 16_000_000
 
 
 def backend_hooks(
@@ -55,34 +75,60 @@ def backend_hooks(
     backend, workers = resolve_backend(config)
     if backend == "serial":
         return None, None
-    u, v = _tile_shape(config, workers, m, n, affine=not scheme.is_linear)
     kernel_tier = registry.resolve_tier(getattr(config, "kernel", None))
     session = ProcessSession(
-        scheme, a_codes, b_codes, m, n, config.k, workers, u, v,
-        kernel=kernel_tier,
+        scheme, a_codes, b_codes, m, n, config.k, workers, kernel=kernel_tier,
     )
     return FastLSAHooks(fill=session.fill, base_matrix=None), session.finish
 
 
-def _tile_shape(config, workers: int, m: int, n: int, affine: bool):
-    """Tile ``(u, v)``: calibration-shaped when the config carries an
-    active ``tune`` profile, else :func:`default_uv`."""
-    if getattr(config, "tune", None) not in (None, "off"):
-        from ..tune.decision import tile_uv
-        from ..tune.profile import load_profile
+def strip_tiles(
+    grid, u: int, workers: int, skip_bottom_right: bool = True
+) -> Tuple[List[int], List[List[tuple]]]:
+    """The strip wavefront of one FillCache region.
 
-        profile = load_profile(config.tune)
-        if profile is not None:
-            return tile_uv(profile, workers, config.k, m, n, affine)
-    return default_uv(workers, config.k)
+    Returns ``(row_bounds, strips)``: the ``R + 1`` global row-tile
+    bounds (each grid block row refined into ``u``), and ``strips[c]``,
+    strip ``c``'s tiles top to bottom as ``(r, a0, a1, b0, b1, q0, cols)``
+    — global rows ``a0..a1`` and columns ``b0..b1``, ``q0`` the grid
+    column index of ``b0`` and ``cols`` the interior grid columns in
+    ``(b0, b1]`` (indices ``q0 + 1, ...``) the tile samples.  The
+    ``C = min(workers, block columns)`` strips are cut on grid lines.
+    With ``skip_bottom_right`` the last block row stops at
+    ``col_bounds[-2]``: the strip holding the bottom-right block is
+    truncated there, and a strip starting there has no tiles in that
+    block row.
+    """
+    rows = refine_bounds(grid.row_bounds, u)
+    cb = grid.col_bounds
+    Q = len(cb) - 1
+    C = max(1, min(workers, Q))
+    edges = [c * Q // C for c in range(C + 1)]
+    last_row_a0 = grid.row_bounds[-2]
+    stop = cb[-2] if skip_bottom_right else cb[-1]
+    strips: List[List[tuple]] = []
+    for c in range(C):
+        q0, q1 = edges[c], edges[c + 1]
+        b0 = cb[q0]
+        tiles = []
+        for r in range(len(rows) - 1):
+            a0, a1 = rows[r], rows[r + 1]
+            b1 = cb[q1] if a0 < last_row_a0 else min(cb[q1], stop)
+            if b1 <= b0:
+                break
+            cols = tuple(x for x in cb[q0 + 1 : min(q1, Q - 1) + 1] if x <= b1)
+            tiles.append((r, a0, a1, b0, b1, q0, cols))
+        strips.append(tiles)
+    return rows, strips
 
 
 class ProcessSession:
     """One alignment's binding of the shared process pool + arena.
 
     Lazily bound: the arena is allocated and broadcast on the first
-    :meth:`fill` call, so tiny alignments that never leave the base case
-    pay nothing.  :meth:`finish` is idempotent and must always run.
+    region at or above :data:`STRIP_CUTOFF_CELLS`, so alignments filled
+    wholly in the parent pay nothing.  :meth:`finish` is idempotent and
+    must always run.
     """
 
     def __init__(
@@ -94,15 +140,14 @@ class ProcessSession:
         n: int,
         k: int,
         workers: int,
-        u: int,
-        v: int,
         kernel: Optional[str] = None,
     ) -> None:
         self.scheme = scheme
         self.a_codes = a_codes
         self.b_codes = b_codes
         self.m, self.n, self.k = m, n, k
-        self.workers, self.u, self.v = workers, u, v
+        self.workers = workers
+        self.u = strip_rows(workers, k)
         # Kernel tier shipped to the workers in the SessionSpec.  Resolved
         # from the config at hook-build time (so a tuned/explicit
         # ``config.kernel`` wins); ``None`` falls back to the ambient
@@ -117,7 +162,8 @@ class ProcessSession:
     def predicted_arena_cells(self) -> int:
         return arena_cells(
             self.m, self.n, self.k, self.workers,
-            affine=not self.scheme.is_linear, u=self.u, v=self.v,
+            affine=not self.scheme.is_linear,
+            alphabet=self.scheme.matrix.table.shape[0],
         )
 
     # ------------------------------------------------------------------
@@ -126,7 +172,7 @@ class ProcessSession:
         table = scheme.matrix.table
         affine = not scheme.is_linear
         spec = arena_spec(
-            self.m, self.n, self.k * self.u, self.k * self.v,
+            self.m, self.n, self.k * self.u, self.k,
             alphabet=table.shape[0], affine=affine,
         )
         self.arena = SharedArena.create(spec)
@@ -158,68 +204,66 @@ class ProcessSession:
 
     # ------------------------------------------------------------------
     def fill(self, grid, a_codes, b_codes, scheme, counter, skip_bottom_right=True):
-        """Process-parallel FillCache for one region (FastLSAHooks.fill)."""
+        """Strip-wavefront FillCache for one region (FastLSAHooks.fill)."""
+        problem = grid.problem
+        if problem.nrows * problem.ncols < STRIP_CUTOFF_CELLS:
+            fill_grid(grid, a_codes, b_codes, scheme, counter, skip_bottom_right)
+            return
         if self.arena is None:
             self._bind()
-        tg = build_fill_tiles(grid, self.u, self.v, skip_bottom_right)
-        if len(tg) == 0:
-            return
-        problem = grid.problem
+        rows, strips = strip_tiles(grid, self.u, self.workers, skip_bottom_right)
         i0, j0 = problem.i0, problem.j0
         i1, j1 = problem.i1, problem.j1
         affine = not scheme.is_linear
         rows_h = self.arena["rows_h"]
         cols_h = self.arena["cols_h"]
-        # Region boundary caches in, globally indexed (tile row/col 0 reads
-        # these; deeper rows/cols read the previous tile's outputs).
+        # Region boundary caches in, globally indexed (row tile 0 and
+        # strip 0 read these; the rest read other tiles' outputs).
         rows_h[0, j0 : j1 + 1] = problem.cache_row.h
         cols_h[0, i0 : i1 + 1] = problem.cache_col.h
         if affine:
             self.arena["rows_f"][0, j0 : j1 + 1] = problem.cache_row.f
             self.arena["cols_e"][0, i0 : i1 + 1] = problem.cache_col.e
 
-        # Drop the view locals before dispatching: if run_region raises,
+        # Drop the view locals before dispatching: if run_strips raises,
         # the exception's traceback pins this frame, and any live numpy
         # views would block the arena's mmap from closing in finish().
         del rows_h, cols_h
 
+        tiles = [(t[0] + c, t) for c, strip in enumerate(strips) for t in strip]
         with obs.span(
             "wavefront.run", category="wavefront",
-            n_tiles=len(tg), n_threads=self.workers, backend="processes",
+            n_tiles=len(tiles), n_threads=self.workers, backend="processes",
         ):
-            # Figure-13 phase per anti-diagonal, shipped with each tile
-            # only while observing: no per-tile cost otherwise.
-            phases = line_phases(tg, self.workers) if self._observe else None
-            self.pool.run_region(tg, phases)
+            phases = None
+            if self._observe:
+                # Figure-13 phase per anti-diagonal, shipped with each
+                # tile only while observing: no per-tile cost otherwise.
+                sizes = [0] * (len(rows) + len(strips) - 2)
+                for d, _ in tiles:
+                    sizes[d] += 1
+                phases = line_phases(sizes, self.workers)
+            self.pool.run_strips(strips, phases)
         if counter is not None:
-            counter.add_cells(tg.total_cells())
+            counter.add_cells(sum((t[2] - t[1]) * (t[4] - t[3]) for _, t in tiles))
 
-        # Copy interior grid lines out of the arena (the only per-region
-        # copy; everything else stayed in shared memory).
+        # Copy the interior grid lines out of the arena (the only
+        # per-region copy; everything else stayed in shared memory).
+        # Every interior line is computed full length.
         rows_h = self.arena["rows_h"]
         cols_h = self.arena["cols_h"]
         rows_f = self.arena["rows_f"] if affine else None
         cols_e = self.arena["cols_e"] if affine else None
-        row_tiles: dict = {}
-        col_tiles: dict = {}
-        for t in tg.tiles():
-            row_tiles[t.r] = max(row_tiles.get(t.r, j0), t.b1)
-            col_tiles[t.c] = max(col_tiles.get(t.c, i0), t.a1)
         for p in range(1, len(grid.row_bounds) - 1):
-            gp = grid.row_bounds[p]
-            r = tg.row_bounds.index(gp) - 1
-            hi = row_tiles.get(r, j0)
+            r = rows.index(grid.row_bounds[p])
             grid.store_row_segment(
-                p, j0, rows_h[r + 1, j0 : hi + 1],
-                rows_f[r + 1, j0 : hi + 1] if affine else None,
+                p, j0, rows_h[r, j0 : j1 + 1],
+                rows_f[r, j0 : j1 + 1] if affine else None,
             )
         for q in range(1, len(grid.col_bounds) - 1):
-            gq = grid.col_bounds[q]
-            c = tg.col_bounds.index(gq) - 1
-            hi = col_tiles.get(c, i0)
             grid.store_col_segment(
-                q, i0, cols_h[c + 1, i0 : hi + 1],
-                cols_e[c + 1, i0 : hi + 1] if affine else None,
+                q, i0, cols_h[q, i0 : i1 + 1],
+                cols_e[q, i0 : i1 + 1] if affine else None,
             )
 
     # ------------------------------------------------------------------

@@ -3,20 +3,29 @@
 Architecture (see also :mod:`repro.parallel.shm`):
 
 * ``P`` long-lived worker processes, each holding one end of a private
-  :class:`multiprocessing.Pipe` for commands and sharing one result
-  :class:`multiprocessing.Queue` back to the parent.
+  duplex :class:`multiprocessing.Pipe`: commands in, replies out.  A
+  reply is written by the worker's main thread before it starts its next
+  tile (a ``multiprocessing.Queue`` would hand it to a feeder thread that
+  waits for the GIL behind the running sweep, delaying the neighbour
+  strip by up to a switch interval per tile).
 * Per alignment the parent **binds** a session: one broadcast message
   carrying the shared-memory arena name/spec, the substitution table and
   gap parameters, the active fault plan (if any) and whether to record
   observability — everything a worker needs, shipped exactly once.
-* Per FillCache region the parent runs the tile DAG itself, sending bare
-  coordinates (``("tile", r, c, a0, a1, b0, b1[, phase])``) to idle workers and
-  advancing dependencies as ``("done", ...)`` replies drain.  Tile data
-  never crosses the pipe; boundary rows/columns live in the arena.
-* Worker crashes are detected by liveness-polling the result queue: a
-  dead process surfaces as a typed, transient
-  :class:`~repro.errors.WorkerCrashError` (never a hang) and marks the
-  pool broken; :mod:`repro.parallel.lifecycle` respawns it on next use.
+* Per FillCache region the parent runs a **strip wavefront**: the
+  region is cut into ``C ≤ P`` full-width column strips and ``R`` row
+  tiles, and worker ``c`` always owns strip ``c``.  The parent sends bare
+  coordinates (``("strip", c, r, a0, a1, b0, b1, q0, cols, phase)``):
+  all of strip 0 at once, then tile ``(r, c+1)`` as soon as ``(r, c)``
+  replies ``("done", ...)``.  Each worker's pipe is FIFO, so a tile's
+  upper neighbour (same strip, same worker) is always finished before it
+  starts.  Tile data never crosses the pipe; boundary rows and grid
+  columns live in the arena.
+* Worker crashes are detected by end-of-file on the worker's pipe or by
+  liveness-polling while waiting: a dead process surfaces as a typed,
+  transient :class:`~repro.errors.WorkerCrashError` (never a hang) and
+  marks the pool broken; :mod:`repro.parallel.lifecycle` respawns it on
+  next use.
 
 Workers honour the :mod:`repro.faults` tile sites and record their own
 trace spans / metrics; :meth:`ProcessPool.drain_obs` merges the
@@ -27,8 +36,9 @@ from __future__ import annotations
 
 import builtins
 import multiprocessing as mp
-import queue as queue_mod
 import traceback
+from collections import deque
+from multiprocessing.connection import wait as wait_ready
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,11 +52,10 @@ from ..kernels import registry
 from ..obs import runtime as obs
 from ..obs.runtime import Instrumentation
 from .shm import SharedArena
-from .tiles import TileGrid
 
 __all__ = ["ProcessPool", "SessionSpec"]
 
-#: Seconds between liveness polls while waiting on the result queue.
+#: Seconds between liveness polls while waiting for a worker reply.
 _POLL_S = 0.2
 
 
@@ -109,10 +118,21 @@ class _WorkerState:
         else:
             faults.disable()
 
-    def compute_tile(
-        self, r: int, c: int, a0: int, a1: int, b0: int, b1: int,
-        phase: Optional[str] = None,
+    def compute_strip_tile(
+        self, c: int, r: int, a0: int, a1: int, b0: int, b1: int,
+        q0: int, cols: Tuple[int, ...], phase: Optional[str] = None,
     ) -> None:
+        """Sweep tile ``(r, c)``: rows ``a0..a1`` of the strip ``b0..b1``.
+
+        The tile runs the same full-width band kernel as serial
+        :func:`~repro.core.fillcache.fill_grid`.  It reads its top row
+        from ``rows_h[r]`` and its left column from grid column ``q0``;
+        it writes its bottom row to ``rows_h[r + 1]`` and the H (and E)
+        values at the grid columns ``cols`` (indices ``q0 + 1, ...``)
+        into ``cols_h``.  Entry 0 of each output is the corner another
+        tile owns, so it is written only on the region's top row or left
+        column: every arena cell has exactly one writer.
+        """
         faults.inject(SITE_TILE_START)
         sp = obs.span(
             "wavefront.tile", category="tile", r=r, c=c,
@@ -125,29 +145,29 @@ class _WorkerState:
             sub_a = self.seq_a[a0:a1]
             sub_b = self.seq_b[b0:b1]
             top_h = self.rows_h[r, b0 : b1 + 1]
-            left_h = self.cols_h[c, a0 : a1 + 1]
+            left_h = self.cols_h[q0, a0 : a1 + 1]
+            sample = np.asarray(cols, dtype=np.int64) - b0
+            qs = slice(q0 + 1, q0 + 1 + len(cols))
+            row0 = 0 if c == 0 else 1
+            col0 = 0 if r == 0 else 1
             if spec.is_linear:
-                bot_h, right_h = self.provider.sweep_last_row_col(
+                bot_h, samp_h = self.provider.sweep_band(
                     sub_a, sub_b, spec.table, spec.gap_open, top_h, left_h,
-                    profile=prof,
+                    sample, profile=prof,
                 )
-                self.rows_h[r + 1, b0 : b1 + 1] = bot_h
-                self.cols_h[c + 1, a0 : a1 + 1] = right_h
             else:
                 top_f = self.rows_f[r, b0 : b1 + 1]
-                left_e = self.cols_e[c, a0 : a1 + 1]
-                bot_h, bot_f, right_h, right_e = self.provider.sweep_last_row_col(
+                left_e = self.cols_e[q0, a0 : a1 + 1]
+                bot_h, bot_f, samp_h, samp_e = self.provider.sweep_band(
                     sub_a, sub_b, spec.table, spec.gap_open, spec.gap_extend,
-                    top_h, top_f, left_h, left_e, profile=prof,
+                    top_h, top_f, left_h, left_e, sample, profile=prof,
                 )
-                self.rows_h[r + 1, b0 : b1 + 1] = bot_h
-                self.cols_h[c + 1, a0 : a1 + 1] = right_h
-                # Skip the corner sentinel — the up-left neighbour owns it
-                # (same contract as Grid.store_row_segment).
-                if b1 > b0:
-                    self.rows_f[r + 1, b0 + 1 : b1 + 1] = bot_f[1:]
-                if a1 > a0:
-                    self.cols_e[c + 1, a0 + 1 : a1 + 1] = right_e[1:]
+                # F at column 0 and E at row 0 are sentinels, never the
+                # corner's true value (same contract as Grid.store_*).
+                self.rows_f[r + 1, b0 + 1 : b1 + 1] = bot_f[1:]
+                self.cols_e[qs, a0 + 1 : a1 + 1] = samp_e[:, 1:]
+            self.rows_h[r + 1, b0 + row0 : b1 + 1] = bot_h[row0:]
+            self.cols_h[qs, a0 + col0 : a1 + 1] = samp_h[:, col0:]
         if phase is not None:
             obs.counter_add(f"wavefront.{phase}_tiles", 1)
         faults.inject(SITE_TILE_FINISH)
@@ -168,8 +188,8 @@ class _WorkerState:
         faults.disable()
 
 
-def _worker_main(wid: int, conn, results) -> None:
-    """Worker process entry point: serve bind/tile/flush/stop commands."""
+def _worker_main(wid: int, conn) -> None:
+    """Worker process entry point: serve bind/strip/flush/stop commands."""
     # Under "fork" this process inherits the parent's instrumented()/
     # chaos() context-variable scopes; drop them so only what the bound
     # SessionSpec enables is observed.
@@ -189,22 +209,21 @@ def _worker_main(wid: int, conn, results) -> None:
                 if state is not None:
                     state.close()
                 state = _WorkerState(wid, msg[1])
-                results.put(("bound", wid))
+                conn.send(("bound", wid))
             elif kind == "unbind":
                 if state is not None:
                     state.close()
                     state = None
-                results.put(("unbound", wid))
+                conn.send(("unbound", wid))
             elif kind == "flush":
                 rows, snap = state.drain_obs() if state is not None else ([], {})
-                results.put(("stats", wid, rows, snap))
-            elif kind == "tile":
-                key = (msg[1], msg[2])
-                state.compute_tile(*msg[1:])
-                results.put(("done", wid, key))
+                conn.send(("stats", wid, rows, snap))
+            elif kind == "strip":
+                state.compute_strip_tile(*msg[1:])
+                conn.send(("done", wid, (msg[2], msg[1])))
         except BaseException as exc:  # report, keep serving
-            key = (msg[1], msg[2]) if kind == "tile" else None
-            results.put((
+            key = (msg[2], msg[1]) if kind == "strip" else None
+            conn.send((
                 "error", wid, key, type(exc).__name__, str(exc),
                 getattr(exc, "transient", None), getattr(exc, "site", None),
                 traceback.format_exc(),
@@ -238,14 +257,14 @@ def _rebuild_error(cls_name, message, transient, site) -> BaseException:
 # parent side
 # ----------------------------------------------------------------------
 class ProcessPool:
-    """``P`` persistent workers + the parent-side tile DAG dispatcher."""
+    """``P`` persistent workers + the parent-side strip dispatcher."""
 
     def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise SchedulerError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
         ctx = mp.get_context()
-        self._results: mp.Queue = ctx.Queue()
+        self._replies: deque = deque()
         self._conns = []
         self._procs = []
         self._broken = False
@@ -254,7 +273,7 @@ class ProcessPool:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, child_conn, self._results),
+                args=(wid, child_conn),
                 daemon=True,
                 name=f"fastlsa-worker-{wid}",
             )
@@ -271,23 +290,28 @@ class ProcessPool:
 
     def _fail(self, wid: int) -> None:
         self._broken = True
-        code = self._procs[wid].exitcode
-        self.close()
+        proc = self._procs[wid]
+        self.close()  # joins, so the exit code is known
         raise WorkerCrashError(
-            f"wavefront worker {wid} died (exit code {code})", worker=wid
+            f"wavefront worker {wid} died (exit code {proc.exitcode})", worker=wid
         )
 
     def _recv(self):
         """Next worker reply, liveness-polling so a crash never hangs us."""
         if self._broken:
             raise WorkerCrashError("process pool is broken; create a new one")
-        while True:
-            try:
-                return self._results.get(timeout=_POLL_S)
-            except queue_mod.Empty:
+        while not self._replies:
+            ready = wait_ready(self._conns, timeout=_POLL_S)
+            for conn in ready:
+                try:
+                    self._replies.append(conn.recv())
+                except (EOFError, OSError):
+                    self._fail(self._conns.index(conn))
+            if not ready:
                 for wid, proc in enumerate(self._procs):
                     if not proc.is_alive():
                         self._fail(wid)
+        return self._replies.popleft()
 
     def _broadcast(self, msg, ack: str) -> None:
         for wid, conn in enumerate(self._conns):
@@ -336,77 +360,58 @@ class ProcessPool:
         return out
 
     # ------------------------------------------------------------------
-    def run_region(self, tg: TileGrid, phases: Optional[List[str]] = None) -> None:
-        """Execute one region's tile DAG across the workers.
+    def run_strips(
+        self, strips: List[List[tuple]], phases: Optional[List[str]] = None
+    ) -> None:
+        """Execute one region's strip wavefront across the workers.
 
-        Coordinates-only dispatch: ready tiles go to idle workers (one in
-        flight per worker — the parent is the scheduler, so faster
-        workers naturally steal more of the wavefront).  The first worker
-        error aborts the region after draining in-flight tiles, keeping
-        the result queue clean for the next region.  ``phases`` (from
-        :func:`~repro.parallel.wavefront.line_phases`, by wavefront line)
-        tags each tile with its Figure-13 phase.
+        ``strips[c]`` lists strip ``c``'s tiles top to bottom, each
+        ``(r, a0, a1, b0, b1, q0, cols)``; worker ``c`` runs all of them.
+        Tile ``(r, c)`` needs ``(r − 1, c)`` (earlier in the same worker's
+        FIFO pipe) and ``(r, c − 1)`` (sent on that tile's reply), so
+        strip 0 is queued whole and every other tile one reply after its
+        left neighbour.  The first worker error or cancellation stops
+        further sends; the tiles already sent are drained before raising,
+        keeping the reply stream clean for the next region.  ``phases``
+        (from :func:`~repro.parallel.wavefront.line_phases`, by
+        wavefront line) tags each tile with its Figure-13 phase.
         """
-        ids = [(t.r, t.c) for t in tg.tiles()]
-        if not ids:
-            return
         token = cancel.current()
-        indeg: Dict[Tuple[int, int], int] = {
-            tid: len(tg.dependencies(tid)) for tid in ids
-        }
-        ready = [tid for tid in ids if indeg[tid] == 0]
-        if not ready:
-            raise SchedulerError("tile DAG has no roots: cyclic dependencies")
-        idle = list(range(self.n_workers))
-        busy = 0
-        pending = len(ids)
+        sent = [0] * len(strips)
+        in_flight = 0
         error: Optional[BaseException] = None
 
-        def dispatch() -> None:
-            nonlocal busy
-            while ready and idle:
-                tid = ready.pop()
-                wid = idle.pop()
-                tile = tg[tid]
-                msg = ("tile", tile.r, tile.c, tile.a0, tile.a1, tile.b0, tile.b1)
-                if phases is not None:
-                    msg += (phases[tile.r + tile.c],)
-                try:
-                    self._conns[wid].send(msg)
-                except (BrokenPipeError, OSError):
-                    self._fail(wid)
-                busy += 1
+        def send(c: int) -> None:
+            nonlocal in_flight
+            tile = strips[c][sent[c]]
+            phase = phases[tile[0] + c] if phases is not None else None
+            try:
+                self._conns[c].send(("strip", c) + tile + (phase,))
+            except (BrokenPipeError, OSError):
+                self._fail(c)
+            sent[c] += 1
+            in_flight += 1
 
-        dispatch()
-        while pending > 0:
+        while strips and sent[0] < len(strips[0]):
+            send(0)
+        while in_flight:
             if error is None and token is not None:
                 try:
                     token.check()
                 except BaseException as exc:
                     error = exc
-                    ready.clear()
-            if error is not None and busy == 0:
-                break
             reply = self._recv()
             kind = reply[0]
             if kind == "done":
-                _, wid, key = reply
-                idle.append(wid)
-                busy -= 1
-                pending -= 1
-                for dep in tg.dependents(key):
-                    indeg[dep] -= 1
-                    if indeg[dep] == 0:
-                        ready.append(dep)
-                if error is None:
-                    dispatch()
+                in_flight -= 1
+                r, c = reply[2]
+                nxt = c + 1
+                if error is None and nxt < len(strips) and r < len(strips[nxt]):
+                    send(nxt)
             elif kind == "error":
-                idle.append(reply[1])
-                busy -= 1
-                pending -= 1
+                in_flight -= 1
                 if error is None:
                     error = _rebuild_error(*reply[3:7])
-                ready.clear()
         if error is not None:
             raise error
 
@@ -430,8 +435,7 @@ class ProcessPool:
                 conn.close()
             except OSError:
                 pass
-        self._results.close()
-        self._results.join_thread()
+        self._replies.clear()
         self._conns = []
         self._procs = []
         self._bound = False

@@ -8,10 +8,12 @@ a pipe and exchange tile *data* through one preallocated
 
 One arena serves one alignment session.  Its fields (see
 :func:`arena_spec`) are sized for the *top-level* problem, which bounds
-every recursive FillCache region: any region has at most ``k·u`` tile
-rows / ``k·v`` tile columns, and its boundary rows/columns are indexed by
-**global** DPM coordinates, so deeper (smaller) regions simply use a
-prefix of the same buffers.
+every recursive FillCache region: any region has at most ``k·u`` row
+tiles and ``k`` grid columns (the strip layout of
+:mod:`repro.parallel.backends`), and its boundary rows/columns are
+indexed by **global** DPM coordinates, so deeper (smaller) regions simply
+use a prefix of the same buffers.  Every arena cell a region computes has
+exactly one writing tile.
 
 Layout per field is a 64-byte-aligned block; the spec (a plain dict of
 ``name → (shape, dtype)``) is what travels to workers at bind time, so
@@ -64,30 +66,33 @@ def arena_spec(
     m: int,
     n: int,
     tile_rows: int,
-    tile_cols: int,
+    grid_cols: int,
     alphabet: int,
     affine: bool,
 ) -> Dict[str, Tuple[tuple, str]]:
-    """Field spec for an ``m × n`` alignment with ``tile_rows × tile_cols``
-    wavefront tiles (``k·u`` / ``k·v`` at the top level).
+    """Field spec for an ``m × n`` alignment whose FillCache regions are
+    cut into at most ``tile_rows`` row tiles (``k·u``) and ``grid_cols``
+    grid columns (``k``).
 
     ``seq_a`` / ``seq_b`` hold the uint8-encoded sequences (encoded once,
     reused by every sub-problem); ``profile`` the full-width
     :func:`~repro.kernels.linear.score_profile`; ``rows_h[r]`` the H
-    boundary *below* tile row ``r − 1`` (``rows_h[0]`` is a region's
-    incoming top cache), globally column-indexed; ``cols_h[c]`` the
-    mirror for columns.  Affine schemes add F rows and E columns.
+    boundary *below* row tile ``r − 1`` (``rows_h[0]`` is a region's
+    incoming top cache), globally column-indexed; ``cols_h[q]`` the H
+    values along grid column ``q`` (``cols_h[0]`` is the region's
+    incoming left cache), globally row-indexed.  Affine schemes add F
+    rows and E columns.
     """
     spec: Dict[str, Tuple[tuple, str]] = {
         "seq_a": ((max(m, 1),), "uint8"),
         "seq_b": ((max(n, 1),), "uint8"),
         "profile": ((max(alphabet, 1), max(n, 1)), "int64"),
         "rows_h": ((tile_rows + 1, n + 1), "int64"),
-        "cols_h": ((tile_cols + 1, m + 1), "int64"),
+        "cols_h": ((grid_cols + 1, m + 1), "int64"),
     }
     if affine:
         spec["rows_f"] = ((tile_rows + 1, n + 1), "int64")
-        spec["cols_e"] = ((tile_cols + 1, m + 1), "int64")
+        spec["cols_e"] = ((grid_cols + 1, m + 1), "int64")
     return spec
 
 

@@ -68,16 +68,15 @@ def _split_sizes(sizes: List[int], P: int) -> Tuple[List[int], List[int], List[i
     )
 
 
-def line_phases(grid: TileGrid, P: int) -> List[str]:
+def line_phases(sizes: List[int], P: int) -> List[str]:
     """The Figure-13 phase tag of each wavefront line, by line index.
 
-    A tile on wavefront line ``r + c`` executes in
-    ``line_phases(grid, P)[r + c]`` — the tag the tracer attaches to
-    wavefront tile spans so a trace can be cut along the paper's
-    three-phase model.
+    ``sizes[d]`` is the number of tiles on wavefront line ``d``; a tile
+    on line ``r + c`` executes in ``line_phases(sizes, P)[r + c]`` — the
+    tag the tracer attaches to wavefront tile spans so a trace can be
+    cut along the paper's three-phase model.
     """
-    sizes = [len(line) for line in grid.wavefront_lines()]
-    up, steady, down = _split_sizes(sizes, P)
+    up, steady, down = _split_sizes(list(sizes), P)
     return (
         [PHASE_NAMES[0]] * len(up)
         + [PHASE_NAMES[1]] * len(steady)

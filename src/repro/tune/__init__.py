@@ -8,8 +8,8 @@
 * :mod:`~repro.tune.profile` — the versioned on-disk schema and cache
   (``~/.cache/fastlsa/calibration.json``, ``$FASTLSA_CACHE_DIR``);
 * :mod:`~repro.tune.decision` — measured curves + the paper's Theorem-4
-  model → backend, workers, kernel tier, ``k``/``BM``, tile shape and
-  the ``band="auto"`` threshold, with the structural guarantee that a
+  model → backend, workers, kernel tier, ``k``/``BM`` and the
+  ``band="auto"`` threshold, with the structural guarantee that a
   backend whose measured curve loses to serial is never selected;
 * :mod:`~repro.tune.synthetic` — frozen fake-host fixtures
   (``slow-1cpu``, ``fast-8cpu``) so decision tests are deterministic on
@@ -20,7 +20,7 @@ alignment service defaults to ``"auto"`` (inert, with a one-line warning,
 on hosts that never calibrated).
 """
 
-from .decision import TunedChoice, autotune_config, beats_serial, choose, tile_uv
+from .decision import TunedChoice, autotune_config, beats_serial, choose
 from .profile import (
     SCHEMA_VERSION,
     CalibrationProfile,
@@ -49,7 +49,6 @@ __all__ = [
     "load_profile",
     "synthetic_profile",
     "SYNTHETIC_KINDS",
-    "tile_uv",
 ]
 
 

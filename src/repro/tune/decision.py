@@ -13,13 +13,11 @@ overhead.
 Entry points
 ------------
 * :func:`choose` — full decision for an ``m × n`` problem: backend,
-  workers, kernel tier, ``k`` / ``base_cells`` (via the memory planner),
-  tile shape ``u`` / ``v`` and the ``band="auto"`` threshold.
+  workers, kernel tier, ``k`` / ``base_cells`` (via the memory planner)
+  and the ``band="auto"`` threshold.
 * :func:`autotune_config` — apply a decision to an
   :class:`~repro.core.config.AlignConfig`, filling **only** the knobs the
   caller left unset (explicit choices always win; idempotent).
-* :func:`tile_uv` — cache-aware tile shaping (validated offline against
-  :mod:`repro.memsim`, see ``tests/test_tune_memsim.py``).
 * :func:`beats_serial` — the degradation re-consult: does a backend point
   still beat serial for a (re-planned, smaller) problem?
 """
@@ -30,16 +28,15 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..core.config import DEFAULT_BASE_CELLS, DEFAULT_K, AlignConfig
-from ..core.planner import ops_ratio_bound, plan_alignment
+from ..core.planner import ops_ratio_bound, plan_alignment, strip_rows
 from ..parallel.model import alpha
-from ..parallel.tiles import default_uv
 from .profile import CalibrationProfile, load_profile
 
 __all__ = [
     "TunedChoice",
     "choose",
     "predict_seconds",
-    "tile_uv",
+    "strip_grid",
     "autotune_config",
     "beats_serial",
     "DEFAULT_BATCH_LANES",
@@ -51,10 +48,6 @@ __all__ = [
 #: inefficiency of the probe geometry normalises measured parallel curves
 #: before extrapolating them to a different tile grid.
 PROBE_K = 4
-
-#: Don't shape tiles narrower than this many columns: per-tile dispatch
-#: and boundary handoff would dominate the fill.
-MIN_TILE_COLS = 64
 
 #: ``band="auto"`` is only worth enabling when the measured band-fill
 #: throughput beats the serial kernel by at least this factor (the
@@ -81,8 +74,6 @@ class TunedChoice:
     kernel: Optional[str]
     k: int
     base_cells: int
-    u: int
-    v: int
     band: "None | str"
     predicted_s: float
     notes: Tuple[str, ...] = ()
@@ -131,40 +122,11 @@ def use_batch(
     return batch_lanes(profile, tier, kind) > 1
 
 
-def _working_set_layers(affine: bool) -> int:
-    # Rolling sweep rows live in cache during a tile fill: H prev/cur for
-    # linear, (H, E, F) × 2 for affine.
-    return 6 if affine else 2
-
-
-def tile_uv(
-    profile: CalibrationProfile,
-    workers: int,
-    k: int,
-    m: int,
-    n: int,
-    affine: bool = False,
-) -> Tuple[int, int]:
-    """Cache-aware tile shape for a ``k``-way wavefront with ``workers``.
-
-    Starts from :func:`~repro.parallel.tiles.default_uv` (enough tiles to
-    keep ``P`` workers busy, Eq. 29's ``(k·u)² ≥ 4P²`` rule) and then
-    raises ``v`` until one tile's sweep working set — ``layers`` rolling
-    rows of the tile width — fits the cache size the calibration measured
-    (the throughput peak of the Base-Case-buffer sweep is the measured
-    proxy for effective cache capacity).  Tiles are never shaped narrower
-    than :data:`MIN_TILE_COLS` columns, where handoff would dominate.
-    """
-    u0, v0 = default_uv(workers, k)
-    cache = profile.best_base_cells() or DEFAULT_BASE_CELLS
-    layers = _working_set_layers(affine)
-    v = v0
-    max_width = max(1, cache // layers)
-    # Widest v allowed by the handoff floor.
-    v_cap = max(v0, n // (k * MIN_TILE_COLS)) if n else v0
-    while v < v_cap and n > k * v * max_width:
-        v += 1
-    return u0, v
+def strip_grid(workers: int, k: int) -> Tuple[int, int]:
+    """``(R, C)`` of the process backend's top-level strip wavefront:
+    ``R = k·u`` row tiles (``u`` from
+    :func:`~repro.core.planner.strip_rows`) by ``C = min(P, k)`` strips."""
+    return k * strip_rows(workers, k), max(1, min(workers, k))
 
 
 def predict_seconds(
@@ -176,17 +138,17 @@ def predict_seconds(
     backend: str,
     workers: int,
     affine: bool = False,
-    u: Optional[int] = None,
-    v: Optional[int] = None,
 ) -> Optional[float]:
     """Predicted wall time of one alignment under a candidate plan.
 
     ``effective cells / measured cells-per-second``, where effective cells
     carry the FastLSA recomputation bound ``(k+1)/(k−1)``; parallel
     candidates are additionally scaled by the ratio of Eq. 32
-    inefficiencies between the target tile grid and the probe's grid
-    (normalising the measured curve to its geometry before extrapolating),
-    plus the measured per-tile handoff cost over the top-level tile count.
+    inefficiencies between the target strip grid and the probe's
+    (:func:`strip_grid`, normalising the measured curve to its geometry
+    before extrapolating), plus the measured per-tile handoff cost over
+    the top-level tile count ``R·C``.  The backend curves are measured on
+    a linear scheme, so ``affine`` does not change the prediction.
     Returns ``None`` for a point the profile never measured.
     """
     cps = profile.cells_per_s(backend, workers)
@@ -195,12 +157,10 @@ def predict_seconds(
     eff = float(m) * float(n) * ops_ratio_bound(max(2, k))
     if backend == "serial":
         return eff / cps
-    if u is None or v is None:
-        u, v = tile_uv(profile, workers, k, m, n, affine)
-    R, C = k * u, k * v
-    u0, v0 = default_uv(workers, PROBE_K)
+    R, C = strip_grid(workers, k)
+    R0, C0 = strip_grid(workers, PROBE_K)
     ineff = workers * alpha(workers, R, C)
-    ineff0 = workers * alpha(workers, PROBE_K * u0, PROBE_K * v0)
+    ineff0 = workers * alpha(workers, R0, C0)
     handoff = float(profile.handoff_s.get(backend, 0.0))
     return (eff / cps) * (ineff / ineff0) + handoff * R * C
 
@@ -234,19 +194,17 @@ def choose(
     serial_s = predict_seconds(
         profile, m, n, k=k, backend="serial", workers=1, affine=affine
     )
-    best = ("serial", 1, 1, 1, serial_s if serial_s is not None else float("inf"))
+    best = ("serial", 1, serial_s if serial_s is not None else float("inf"))
     cpus = profile.cpu_count()
     for backend, workers, cps in profile.backend_points():
         if workers > cpus or cps <= serial_cps:
             continue
-        u, v = tile_uv(profile, workers, k, m, n, affine)
         t = predict_seconds(
-            profile, m, n, k=k, backend=backend, workers=workers,
-            affine=affine, u=u, v=v,
+            profile, m, n, k=k, backend=backend, workers=workers, affine=affine,
         )
-        if t is not None and t < best[4]:
-            best = (backend, workers, u, v, t)
-    backend, workers, u, v, predicted_s = best
+        if t is not None and t < best[2]:
+            best = (backend, workers, t)
+    backend, workers, predicted_s = best
     if backend != "serial":
         notes.append(f"tuned:backend={backend}@{workers}")
 
@@ -279,8 +237,6 @@ def choose(
         kernel=kernel,
         k=k,
         base_cells=base_cells,
-        u=u,
-        v=v,
         band=band,
         predicted_s=predicted_s,
         notes=tuple(notes),

@@ -35,12 +35,11 @@ from ..core.fastlsa import fastlsa
 from ..core.local import _best_cell_local
 from ..core.score_only import align_score
 from ..kernels import batchdp, registry
-from ..parallel.tiles import default_uv
 from ..scoring.dna import dna_simple
 from ..scoring.gaps import affine_gap, linear_gap
 from ..scoring.scheme import ScoringScheme
 from ..workloads.synth import dna_pair
-from .decision import PROBE_K
+from .decision import PROBE_K, strip_grid
 from .profile import CalibrationProfile, host_fingerprint, host_info
 
 __all__ = ["calibrate"]
@@ -133,8 +132,8 @@ def calibrate(
         say(f"backend processes x{workers}: end-to-end FastLSA")
         t = run_backend("processes", workers)
         backends["processes"][workers] = cells / max(t, 1e-9)
-        u, v = default_uv(workers, PROBE_K)
-        tiles = (PROBE_K * u) * (PROBE_K * v)
+        R, C = strip_grid(workers, PROBE_K)
+        tiles = R * C
         slowdowns.append(max(0.0, t - t_serial) / tiles)
     handoff_s = {"processes": statistics.median(slowdowns) if slowdowns else 0.0}
 

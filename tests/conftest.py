@@ -58,6 +58,41 @@ def _drain_worker_pools():
 
 
 @pytest.fixture
+def worker_strips(monkeypatch):
+    """Send every FillCache region to the process workers as strips.
+
+    Test-sized alignments sit far below the process backend's in-parent
+    cutoff, so without this every region would be filled by serial
+    ``fill_grid`` in the parent and a parity test would compare serial
+    with serial.  The fixture pins the cutoff to 0 and counts FillCache
+    calls and the strip tiles sent to workers; a test that filled any
+    region but sent no tile fails.  (An alignment small enough to be one
+    base case never fills.)
+    """
+    from repro.parallel import backends, procpool
+
+    monkeypatch.setattr(backends, "STRIP_CUTOFF_CELLS", 0)
+    done = {"fills": 0, "tiles": 0}
+    fill = backends.ProcessSession.fill
+    run_strips = procpool.ProcessPool.run_strips
+
+    def counted_fill(self, *args, **kwargs):
+        done["fills"] += 1
+        return fill(self, *args, **kwargs)
+
+    def counted_strips(self, strips, phases=None):
+        done["tiles"] += sum(len(strip) for strip in strips)
+        return run_strips(self, strips, phases)
+
+    monkeypatch.setattr(backends.ProcessSession, "fill", counted_fill)
+    monkeypatch.setattr(procpool.ProcessPool, "run_strips", counted_strips)
+    yield done
+    assert done["fills"] == 0 or done["tiles"] > 0, (
+        "FillCache ran but no strip tile was sent to a worker"
+    )
+
+
+@pytest.fixture
 def rng():
     """Deterministic RNG shared by randomised tests."""
     return np.random.default_rng(20030707)

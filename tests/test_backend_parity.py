@@ -44,6 +44,7 @@ def _with_backend(config: AlignConfig, backend: str, workers: int = 2) -> AlignC
     )
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestScoreAndPathParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("config", SWEEP, ids=lambda c: f"k{c.k}b{c.base_cells}")
@@ -89,6 +90,7 @@ class TestScoreAndPathParity:
             assert got.alignment.path.points == ref.alignment.path.points
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestProcessFailureSurface:
     CFG = AlignConfig(k=4, base_cells=64, max_workers=2, backend="processes")
 
@@ -123,6 +125,7 @@ class TestProcessFailureSurface:
         assert ok.score == ref.score
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestObservabilityAcrossProcesses:
     def test_worker_spans_and_metrics_merge(self, dna_scheme):
         a, b = dna_pair(150, divergence=0.25, seed=4)
@@ -179,6 +182,7 @@ def test_bench_harness_full_path(tmp_path):
     assert data["meta"]["cpu_count"] == os.cpu_count()
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestServiceBackend:
     def test_default_backend_jobs_match_serial(self, dna_scheme):
         pairs = [dna_pair(100, divergence=0.3, seed=s) for s in range(3)]

@@ -200,6 +200,7 @@ class TestTrace:
         printed = capsys.readouterr().out
         assert "cells_filled=" in printed and "ops_ratio=" in printed
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_trace_parallel(self, fasta_files, tmp_path, capsys):
         import json
 

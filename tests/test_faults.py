@@ -413,6 +413,7 @@ class TestFaultsInCorePaths:
                 fastlsa(a, b, dna_scheme, config=AlignConfig(k=2, base_cells=256))
         assert plan.total_fired() == 1
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_tile_sites_fire_in_wavefront(self, dna_scheme):
         from repro.core import AlignConfig, fastlsa
         from repro.workloads import dna_pair
@@ -427,6 +428,7 @@ class TestFaultsInCorePaths:
                 fastlsa(a, b, dna_scheme, config=cfg)
         assert info.value.site == SITE_TILE_START
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_wavefront_correct_after_transient_tile_fault(self, dna_scheme):
         from repro.baselines import needleman_wunsch
         from repro.core import AlignConfig, fastlsa

@@ -277,6 +277,7 @@ class TestEnabledShape:
 # parallel: tile spans carry Figure-13 phases
 # ----------------------------------------------------------------------
 class TestWavefrontSpans:
+    @pytest.mark.usefixtures("worker_strips")
     def test_tile_spans_tagged_with_phases(self, rng, dna_scheme):
         a = random_dna(rng, 220)
         b = random_dna(rng, 240)
@@ -299,6 +300,18 @@ class TestWavefrontSpans:
         )
         assert counted == len(tiles)
         assert inst.tracer.find("wavefront.run")
+
+    def test_phase_totals_never_exceed_the_root(self, rng, dna_scheme):
+        """Nested spans of one name (the recursion) count once in total_s."""
+        a = random_dna(rng, 400)
+        b = random_dna(rng, 400)
+        with obs.instrumented() as inst:
+            al = fastlsa(a, b, dna_scheme, config=AlignConfig(k=3, base_cells=256))
+        assert al.stats.recursion_depth >= 3
+        rows = {r["phase"]: r for r in obs.phase_rows(inst)}
+        root = rows["fastlsa.align"]["total_s"]
+        assert rows["fastlsa.recurse"]["count"] > 1
+        assert all(r["total_s"] <= root for r in rows.values()), rows
 
     def test_phase_report_renders(self, rng, dna_scheme):
         a = random_dna(rng, 150)

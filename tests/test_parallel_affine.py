@@ -8,6 +8,8 @@ of the process backend's affine FillCache is covered bit-for-bit by
 ``tests/test_backend_parity.py``.
 """
 
+import pytest
+
 from repro.align import check_alignment
 from repro import AlignConfig
 from repro.core import fastlsa
@@ -19,6 +21,7 @@ def _processes(k: int, base_cells: int, P: int = 2) -> AlignConfig:
     return AlignConfig(k=k, base_cells=base_cells, max_workers=P, backend="processes")
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestParallelFillAffine:
     def test_tile_edges_carry_gap_state(self, rng, affine_scheme):
         """A gap run longer than a tile must survive tile hand-off."""
@@ -32,6 +35,7 @@ class TestParallelFillAffine:
 
 
 class TestParallelDriversAffine:
+    @pytest.mark.usefixtures("worker_strips")
     def test_processes_multi_level_recursion(self, rng, affine_scheme):
         a = random_protein(rng, 200)
         b = random_protein(rng, 190)
@@ -54,6 +58,7 @@ class TestParallelDriversAffine:
             prev = rep.speedup
         assert prev >= 0.7 * 8
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_affine_parity_with_tiny_tiles(self, rng, affine_scheme):
         """Tiles of a few cells stress the corner-sentinel conventions."""
         a = random_protein(rng, 40)

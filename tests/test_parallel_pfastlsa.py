@@ -16,7 +16,9 @@ def _processes(k: int, base_cells: int, P: int) -> AlignConfig:
 
 class TestProcesses:
     @pytest.mark.parametrize("P", [1, 2])
-    def test_identical_to_sequential_linear(self, rng, dna_scheme, P):
+    def test_identical_to_sequential_linear(self, request, rng, dna_scheme, P):
+        if P > 1:  # P = 1 resolves to the serial backend: no workers
+            request.getfixturevalue("worker_strips")
         for _ in range(4):
             a = random_dna(rng, int(rng.integers(0, 120)))
             b = random_dna(rng, int(rng.integers(0, 120)))
@@ -25,6 +27,7 @@ class TestProcesses:
             assert par.score == seq.score
             assert par.gapped_a == seq.gapped_a and par.gapped_b == seq.gapped_b
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_identical_to_sequential_affine(self, rng, affine_scheme):
         for _ in range(3):
             a = random_protein(rng, int(rng.integers(10, 90)))
@@ -34,6 +37,7 @@ class TestProcesses:
             assert par.score == seq.score
             assert check_alignment(par, affine_scheme)[0]
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_cells_computed_matches_sequential(self, rng, dna_scheme):
         a, b = random_dna(rng, 100), random_dna(rng, 100)
         seq = fastlsa(a, b, dna_scheme, config=AlignConfig(k=4, base_cells=64))

@@ -6,6 +6,8 @@ edits at the recursion split points — checked across every algorithm and
 both parallel drivers.
 """
 
+import pytest
+
 from repro.align import check_alignment
 from repro import AlignConfig
 from repro.baselines import hirschberg, needleman_wunsch
@@ -49,6 +51,7 @@ class TestAdversarialInputs:
             nw = needleman_wunsch(a, b, dna_scheme)
             assert res.alignment.score == nw.score, label
 
+    @pytest.mark.usefixtures("worker_strips")
     def test_processes_parity(self, rng, dna_scheme):
         par_cfg = AlignConfig(k=3, base_cells=128, max_workers=2, backend="processes")
         for label, a, b in adversarial_pairs(rng):
@@ -58,6 +61,7 @@ class TestAdversarialInputs:
             assert par.gapped_a == seq.gapped_a, label
 
 
+@pytest.mark.usefixtures("worker_strips")
 class TestProcessesRepeatability:
     def test_many_runs_identical(self, rng, dna_scheme):
         """Races would show up as run-to-run divergence."""

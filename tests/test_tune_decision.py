@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import warnings
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import align
 from repro.core.config import AlignConfig
 from repro.core.fastlsa import fastlsa
-from repro.core.planner import resolve_backend, worker_cap
+from repro.core.planner import resolve_backend, strip_rows, worker_cap
 from repro.kernels import registry
 from repro.scoring import ScoringScheme, affine_gap, dna_simple, linear_gap
 from repro.tune import (
@@ -28,7 +29,6 @@ from repro.tune import (
     beats_serial,
     choose,
     synthetic_profile,
-    tile_uv,
 )
 from repro.tune.decision import predict_seconds
 from repro.tune.profile import host_fingerprint
@@ -126,20 +126,22 @@ class TestCostModel:
     @given(profile=profiles(),
            workers=st.sampled_from([2, 4, 8]),
            k=st.sampled_from([2, 4, 8]),
-           n=st.integers(min_value=1, max_value=5_000_000),
-           affine=st.booleans())
-    def test_tile_shape_respects_floor_and_cache(
-        self, profile, workers, k, n, affine
-    ):
-        from repro.parallel.tiles import default_uv
-        from repro.tune.decision import MIN_TILE_COLS
-
-        u, v = tile_uv(profile, workers, k, n, n, affine)
-        u0, v0 = default_uv(workers, k)
-        assert u == u0
-        assert v >= v0
-        if v > v0:  # shaped narrower than default: floor must hold
-            assert n // (k * v) >= MIN_TILE_COLS
+           m=st.integers(min_value=64, max_value=1_000_000))
+    def test_handoff_billed_per_strip_tile(self, profile, workers, k, m):
+        """The cost model charges the grid the process backend runs:
+        ``R = k·u`` row tiles by ``C = min(P, k)`` strips."""
+        assume(profile.cells_per_s("processes", workers))
+        handoff = profile.handoff_s["processes"]
+        billed = predict_seconds(
+            profile, m, m, k=k, backend="processes", workers=workers
+        )
+        profile.handoff_s["processes"] = 0.0
+        free = predict_seconds(
+            profile, m, m, k=k, backend="processes", workers=workers
+        )
+        tiles = k * strip_rows(workers, k) * min(workers, k)
+        # The difference of two sums: allow rounding on the larger one.
+        assert billed - free == pytest.approx(handoff * tiles, abs=1e-12 * billed)
 
 
 class TestDeterministicDecisions:
