@@ -87,12 +87,15 @@ class MemoryGovernor:
         n: int,
         affine: bool = False,
         config: Optional[FastLSAConfig] = None,
+        alphabet: int = 32,
     ) -> Plan:
         """Plan an ``m × n`` job inside the per-job allocation.
 
         With ``config`` the caller pins the FastLSA parameters instead of
         letting the planner choose; admission then checks the *pinned*
         configuration's predicted peak against the per-job share.
+        ``alphabet`` is the scheme's symbol count, which sizes the score
+        profile in a processes-backend arena.
 
         Raises
         ------
@@ -108,7 +111,9 @@ class MemoryGovernor:
             if backend == "processes":
                 # The shared-memory tile arena is real resident memory on
                 # top of the recursion's grid caches; bill it to the job.
-                peak += arena_cells(m, n, config.k, workers, affine=affine)
+                peak += arena_cells(
+                    m, n, config.k, workers, affine=affine, alphabet=alphabet
+                )
             if peak > self.per_job_cells:
                 self.rejections += 1
                 obs.counter_add("service.budget_rejections")

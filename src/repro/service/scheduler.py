@@ -300,7 +300,7 @@ class AlignmentService:
             try:
                 plan = self.governor.admit(
                     len(request.a), len(request.b), affine=not scheme.is_linear,
-                    config=config,
+                    config=config, alphabet=len(scheme.alphabet),
                 )
                 break
             except MemoryBudgetError:
@@ -960,7 +960,8 @@ class AlignmentService:
             par_peak = peak
             if resolved == "processes":
                 par_peak += arena_cells(
-                    m, n, next_plan.config.k, workers, affine=affine
+                    m, n, next_plan.config.k, workers, affine=affine,
+                    alphabet=len(lead.request.scheme.alphabet),
                 )
             cap = lead.reserved_cells or lead.plan.predicted_peak_cells
             profile = self._job_profile(cfg0)

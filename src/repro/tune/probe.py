@@ -4,7 +4,10 @@ Measures, on the *current* host, every curve the decision layer consumes:
 
 * cells/s per kernel tier (``align_score`` sweeps, linear + affine);
 * end-to-end FastLSA cells/s for serial and for the process backend at
-  every worker count up to the CPU count;
+  every worker count up to the CPU count, on a pair large enough that its
+  top FillCache region reaches the process backend's strip cutoff (a
+  smaller region is filled in the parent, so its "processes" time would
+  be the serial path's);
 * per-tile handoff overhead of the process backend (the excess of the
   parallel wall time over serial, amortised over the top-level tile
   count — the Theorem-4 model's per-tile constant, measured);
@@ -25,6 +28,7 @@ with the host fingerprint, ready to ``save()`` into the cache.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from typing import Callable, Dict, List, Optional
@@ -35,6 +39,7 @@ from ..core.fastlsa import fastlsa
 from ..core.local import _best_cell_local
 from ..core.score_only import align_score
 from ..kernels import batchdp, registry
+from ..parallel import backends as _backends
 from ..scoring.dna import dna_simple
 from ..scoring.gaps import affine_gap, linear_gap
 from ..scoring.scheme import ScoringScheme
@@ -81,6 +86,19 @@ def _worker_points(cpus: int, quick: bool) -> List[int]:
     return sorted(points)
 
 
+def _strip_pair(length: int, seed: int):
+    """The seeded DNA pair, at least ``length`` long, of the backend sweep:
+    its ``m·n`` top region reaches ``STRIP_CUTOFF_CELLS``, so the process
+    backend sends it to the workers as strips."""
+    cutoff = _backends.STRIP_CUTOFF_CELLS
+    size = max(length, math.isqrt(cutoff))
+    while True:
+        a, b = dna_pair(size, divergence=0.2, seed=seed)
+        if len(a) * len(b) >= cutoff:
+            return a, b
+        size += 16
+
+
 def calibrate(
     quick: bool = False,
     *,
@@ -115,23 +133,26 @@ def calibrate(
         }
 
     # -- backends ------------------------------------------------------
+    par_a, par_b = _strip_pair(length, seed)
+    par_cells = float(len(par_a) * len(par_b))
+
     def run_backend(backend: Optional[str], workers: Optional[int]) -> float:
         cfg = AlignConfig(
             PROBE_K, PROBE_BASE_CELLS, max_workers=workers, backend=backend
         )
-        return _median_time(lambda: fastlsa(a, b, lin, config=cfg), repeats)
+        return _median_time(lambda: fastlsa(par_a, par_b, lin, config=cfg), repeats)
 
-    say("backend serial: end-to-end FastLSA")
+    say(f"backend serial: end-to-end FastLSA at {len(par_a)} bp")
     t_serial = run_backend(None, None)
     backends: Dict[str, Dict[int, float]] = {
-        "serial": {1: cells / max(t_serial, 1e-9)}
+        "serial": {1: par_cells / max(t_serial, 1e-9)}
     }
     backends["processes"] = {}
     slowdowns: List[float] = []
     for workers in _worker_points(cpus, quick):
-        say(f"backend processes x{workers}: end-to-end FastLSA")
+        say(f"backend processes x{workers}: end-to-end FastLSA at {len(par_a)} bp")
         t = run_backend("processes", workers)
-        backends["processes"][workers] = cells / max(t, 1e-9)
+        backends["processes"][workers] = par_cells / max(t, 1e-9)
         R, C = strip_grid(workers, PROBE_K)
         tiles = R * C
         slowdowns.append(max(0.0, t - t_serial) / tiles)

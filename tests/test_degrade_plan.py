@@ -167,7 +167,10 @@ class TestSchedulerCarryConfig:
         plan, dropped = self._carry(profile, roomy)
         assert dropped is None and plan.config.backend == "processes"
         _, workers = resolve_backend(plan.config)
-        arena = arena_cells(m, n, plan.config.k, workers, affine=False)
+        arena = arena_cells(
+            m, n, plan.config.k, workers, affine=False,
+            alphabet=len(roomy.request.scheme.alphabet),
+        )
         assert plan.predicted_peak_cells >= arena  # arena is billed
         assert plan.predicted_peak_cells <= roomy.reserved_cells
 
@@ -249,3 +252,52 @@ class TestGovernorSurfacesClampNotes:
 
         result = asyncio.run(run())
         assert result.downgrades == []
+
+
+class TestArenaBilledWithSchemeAlphabet:
+    """A processes job's arena is billed at the size the session creates:
+    the score profile has one row per symbol of the job's own alphabet."""
+
+    M = N = 2_000
+    CFG = AlignConfig(k=8, base_cells=65_536, backend="processes", max_workers=2)
+
+    def _session_arena(self, scheme, config):
+        from repro.parallel.backends import ProcessSession
+
+        a, b = dna_pair(self.M, divergence=0.2, seed=1)
+        _, workers = resolve_backend(config)
+        session = ProcessSession(
+            scheme, scheme.encode(a), scheme.encode(b), len(a), len(b),
+            config.k, workers=workers,
+        )
+        return session.predicted_arena_cells
+
+    def test_admitted_dna_job_billed_exact_arena(self):
+        scheme = _scheme()
+
+        async def run():
+            async with AlignmentService(memory_cells=50_000_000, tune="off") as svc:
+                a, b = dna_pair(self.M, divergence=0.2, seed=1)
+                job = await svc.submit(a, b, scheme, config=self.CFG)
+                await job.future
+                return job.plan, len(a), len(b)
+
+        plan, m, n = asyncio.run(run())
+        serial_peak = fastlsa_peak_cells(m, n, self.CFG.k, self.CFG.base_cells, False)
+        assert plan.predicted_peak_cells - serial_peak == self._session_arena(scheme, self.CFG)
+
+    def test_degraded_dna_job_billed_exact_arena(self):
+        scheme = _scheme()
+        job = _lead_job(self.M, self.N, scheme, self.CFG, reserved=50_000_000)
+        next_plan = degrade_plan(job.plan, self.M, self.N, affine=False)
+
+        async def run():
+            svc = AlignmentService(
+                memory_cells=50_000_000, tune=synthetic_profile("fast-8cpu")
+            )
+            return svc._carry_config(job, next_plan)
+
+        plan, dropped = asyncio.run(run())
+        assert dropped is None
+        arena = self._session_arena(scheme, plan.config)
+        assert plan.predicted_peak_cells - next_plan.predicted_peak_cells == arena

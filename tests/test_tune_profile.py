@@ -232,3 +232,36 @@ def test_quick_calibrate_produces_consumable_profile(tmp_path):
     assert load_cached(path) is not None
     cfg, _ = autotune_config(AlignConfig(), 512, 512, profile=profile)
     assert cfg.backend in ("serial", "processes")
+
+
+def test_calibrated_processes_points_send_strips(monkeypatch):
+    """Every recorded ``processes`` point timed the strip wavefront: each
+    of its alignments sent at least one strip tile to a worker, instead of
+    filling every region in the parent like serial."""
+    from repro.parallel import procpool
+    from repro.tune import probe
+
+    sent = {"tiles": 0}
+    run_strips = procpool.ProcessPool.run_strips
+
+    def counted_strips(self, strips, phases=None):
+        sent["tiles"] += sum(len(strip) for strip in strips)
+        return run_strips(self, strips, phases)
+
+    runs = []
+    fastlsa = probe.fastlsa
+
+    def watched(a, b, scheme, config):
+        before = sent["tiles"]
+        result = fastlsa(a, b, scheme, config=config)
+        if config.backend == "processes":
+            runs.append((config.max_workers, sent["tiles"] - before))
+        return result
+
+    monkeypatch.setattr(procpool.ProcessPool, "run_strips", counted_strips)
+    monkeypatch.setattr(probe, "fastlsa", watched)
+    profile = probe.calibrate(quick=True, length=96, repeats=1)
+    points = profile.backends["processes"]
+    assert points
+    assert sorted({workers for workers, _ in runs}) == sorted(points)
+    assert all(tiles > 0 for _, tiles in runs), runs
